@@ -55,20 +55,25 @@ def corpus_rows(files: list[str]):
     return paths, t.column("repo").to_pylist(), list(zip(paths, t.column("content").to_pylist()))
 
 
-def check(files: list[str], results: dict[str, list[tuple]], k: int) -> list[str]:
-    """Compare each query's engine top-k ``[(repo, path, score)]`` with the
-    oracle's; returns one message per mismatching query (empty = pass)."""
+def expected(files: list[str], queries: list[str], k: int) -> dict[str, list[tuple]]:
+    """The oracle's top-k ``[(repo, path, score)]`` for each query."""
     from probe_ray.query.bm25 import rank_files
 
     paths, repos, rows = corpus_rows(files)
-    bad = []
     with _memoized_tokenizer():
-        for q, got in results.items():
-            want = [(repos[i], paths[i], s) for i, s in rank_files(rows, q)[:k]]
-            if got != want:
-                first = next((j for j, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
-                bad.append(
-                    f"{q!r}: engine {len(got)} rows vs oracle {len(want)}; first difference at rank {first + 1}: "
-                    f"{got[first] if first < len(got) else None} vs {want[first] if first < len(want) else None}"
-                )
+        return {q: [(repos[i], paths[i], s) for i, s in rank_files(rows, q)[:k]] for q in queries}
+
+
+def compare(got: dict[str, list[tuple]], want: dict[str, list[tuple]]) -> list[str]:
+    """One message per query whose engine top-k differs from the oracle's
+    (empty = pass)."""
+    bad = []
+    for q, w in want.items():
+        g = got.get(q, [])
+        if g != w:
+            first = next((j for j, (a, b) in enumerate(zip(g, w)) if a != b), min(len(g), len(w)))
+            bad.append(
+                f"{q!r}: engine {len(g)} rows vs oracle {len(w)}; first difference at rank {first + 1}: "
+                f"{g[first] if first < len(g) else None} vs {w[first] if first < len(w) else None}"
+            )
     return bad

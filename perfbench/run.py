@@ -1,18 +1,21 @@
 """Engine benchmark: index build, append, upsert and BM25 top-k query.
 
-    python3 perfbench/run.py --workload query_hot --seed 1 --seconds 12 --trace 0
+    python3 perfbench/run.py --workload query_hot --seed 1 --seconds 20 --trace 0
 
-Each run starts its own Ray session (2 logical CPUs), generates its inputs
-from ``--seed``, and takes one corpus through the engine's whole
-lifecycle: build, three +5% appends, reader set-up, a correctness gate,
-a closed-loop query window of ``--seconds`` (one client; the next query
-starts when the previous one returns), then a chain of two upserts, each
-made visible through a federated reader. The last line of stdout is one
-JSON object ``{"correct", "attempted", "failed", "metrics"}``: the
-end-to-end metrics with ``--trace 0``, the per-layer metrics with
-``--trace 1``. Earlier ``host:`` and ``detail:`` lines carry the host
-context, sample counts, tail percentiles, bases of ratios and self times.
-See perfbench/README.md for the metric definitions.
+Each run starts its own Ray session (3 logical CPUs) and generates its
+inputs from ``--seed``. Set-up: one build of the base corpus (the index
+the queries are served from), reader set-up rounds and a correctness
+gate. Then ``--seconds`` of closed-loop queries (one client; the next
+query starts when the previous one returns), split into bursts; between
+two bursts runs one write-side operation on a scratch index: a fresh
+build, a +5% append, or a chain of two upserts, each made visible through
+a federated reader. So every metric draws its samples from the whole
+run, not from one stretch of it. The last line of stdout is one JSON
+object ``{"correct", "attempted", "failed", "metrics"}``: the end-to-end
+metrics with ``--trace 0``, the per-layer metrics with ``--trace 1``.
+Earlier ``host:`` and ``detail:`` lines carry the host context, sample
+counts, tail percentiles, bases of ratios and self times. See
+perfbench/README.md for the metric definitions.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import gc
 import json
 import os
 import platform
+import re
 import shutil
 import statistics
 import subprocess
@@ -37,18 +41,29 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 RUN_BUDGET_S = 170.0  # the whole run, including Ray start and shutdown
 K = 10
-RAY_CPUS = 2  # 1 logical CPU deadlocks hybrid queries (README, defect A)
-UPSERT_CHAIN = 2  # 3 deltas deadlock the federated reader (README, defect B)
+# The warm reader stays open for the whole run (up to 1 CPU: 2 actors of
+# 0.5) while the write side runs next to it; a federated reader over a
+# base and 2 deltas reserves up to 2 more. 1 logical CPU deadlocks hybrid
+# queries (README, defect A).
+RAY_CPUS = 3
+READER_CPUS = 1.0  # held by a placeholder during the set-up build
+UPSERT_CHAIN = 2  # a third delta deadlocks the federated reader (README, defect B)
 UPSERT_DOCS = 64
-APPENDS = 3
-SETUP_ROUNDS = 2
+SETUP_ROUNDS = 3
 
 WORKLOADS = {
-    # corpus shape, base docs, base files, timed base builds, IndexConfig kwargs;
-    # the hot corpus builds in about 2 s, too short for one build to be steady
-    "query_hot": ("code", 3000, 8, 3, {}),
-    "query_zipf": ("zipf", 9500, 4, 1, {"num_waves": 1, "subshards": 1}),
+    # corpus shape, base docs, base files, IndexConfig kwargs, write
+    # operations between the query bursts, in order: B = fresh build of
+    # the base corpus into the scratch index, A = +5% append to it, C = the
+    # upsert chain on it (which tombstones it, so a B comes next).
+    "query_hot": ("code", 3000, 8, {}, "BAABAABAACBAABAABAAC"),
+    "query_zipf": ("zipf", 9500, 4, {"num_waves": 1, "subshards": 1}, "BAABAAC"),
 }
+# Tail percentile per workload, (index path, hybrid): the highest that
+# still has 10 samples beyond it when a run completes a third fewer
+# queries than usual. Fixed, so that a run with a few more queries does
+# not move up to the next percentile.
+TAIL_PCT = {"query_hot": (95, 95), "query_zipf": (75, 75)}
 
 E2E_UNITS = {
     "setup_s": "s",
@@ -118,19 +133,19 @@ def _pct(samples: list[float], p: float) -> float:
     return s[max(0, min(len(s) - 1, -(-int(p * len(s)) // 100) - 1))]
 
 
-def tail(samples: list[float]) -> tuple[float, float]:
-    """(percentile, value): the highest of p99/p95/p90/p75/p50 with at
-    least 10 samples beyond it."""
+def tail(samples: list[float], p: int) -> tuple[int, float]:
+    """(percentile, value) at percentile ``p``, or, when fewer than 10
+    samples lie beyond it, at the highest of p90/p75/p50 that has 10."""
     n = len(samples)
-    for p in (99, 95, 90, 75, 50):
-        if n * (100 - p) / 100 >= 10:
-            return p, _pct(samples, p)
+    for q in (p, 90, 75, 50):
+        if q <= p and n * (100 - q) / 100 >= 10:
+            return q, _pct(samples, q)
     return 50, _pct(samples, 50)
 
 
 def _host_speed() -> float:
     """SHA-256 rounds per millisecond over 0.2 s: host speed beside the
-    query window, to tell a slower host from a slower engine."""
+    query bursts, to tell a slower host from a slower engine."""
     import hashlib
 
     h, n = b"x", 0
@@ -140,6 +155,16 @@ def _host_speed() -> float:
             h = hashlib.sha256(h).digest()
         n += 1000
     return n / (1000 * (time.perf_counter() - t0))
+
+
+def _cpu_times() -> list[int]:
+    """The host's aggregate CPU times (user, nice, system, idle, iowait,
+    irq, softirq, steal, ...) from /proc/stat, in clock ticks."""
+    try:
+        with open("/proc/stat") as f:
+            return [int(x) for x in f.readline().split()[1:]]
+    except OSError:
+        return []
 
 
 class Bench:
@@ -165,14 +190,8 @@ class Bench:
             self.tracer = Tracer()
 
     # ---- operations with deadlines -------------------------------------
-    def op(self, kind: str, name: str, fn, critical: bool = True):
-        """Run one engine operation with its deadline; returns
-        ``(result, seconds)`` or ``(None, None)`` for a non-critical failure.
-        A stall raises Stall (the run stops); a critical failure raises Failed."""
-        self.attempted += 1
-        left = RUN_BUDGET_S - (time.monotonic() - self.t_start)
-        timeout = max(1.0, min(DEADLINE_S[kind], left))
-
+    def submit(self, fn) -> concurrent.futures.Future:
+        """Start one engine operation; its future gives ``(result, seconds)``."""
         stack = list(self.tracer.stack()) if self.tracer else None
 
         def timed():
@@ -183,7 +202,15 @@ class Bench:
             out = fn()
             return out, time.perf_counter() - t0
 
-        fut = self.pool.submit(timed)
+        return self.pool.submit(timed)
+
+    def wait(self, kind: str, name: str, fut: concurrent.futures.Future, critical: bool = True):
+        """Wait for an operation within its deadline; returns
+        ``(result, seconds)`` or ``(None, None)`` for a non-critical failure.
+        A stall raises Stall (the run stops); a critical failure raises Failed."""
+        self.attempted += 1
+        left = RUN_BUDGET_S - (time.monotonic() - self.t_start)
+        timeout = max(1.0, min(DEADLINE_S[kind], left))
         try:
             return fut.result(timeout=timeout)
         except concurrent.futures.TimeoutError:
@@ -197,6 +224,9 @@ class Bench:
                 raise Failed(f"workload {self.workload}: operation {name} raised {type(e).__name__}: {e}") from None
             return None, None
 
+    def op(self, kind: str, name: str, fn, critical: bool = True):
+        return self.wait(kind, name, self.submit(fn), critical)
+
     def span(self, name: str, **attrs):
         return self.tracer.span(name, **attrs) if self.tracer else contextlib.nullcontext()
 
@@ -205,74 +235,127 @@ class Bench:
             self.errors.append(msg)
             raise Failed(f"workload {self.workload}: {msg}")
 
+    def settle(self, free: float) -> None:
+        """Wait, untimed, until ``free`` logical CPUs are unreserved: a
+        closed reader's actors give theirs back asynchronously."""
+        import ray
+
+        t_end = time.monotonic() + 10
+        while ray.available_resources().get("CPU", 0.0) < free - 1e-6 and time.monotonic() < t_end:
+            time.sleep(0.02)
+
     # ---- lifecycle -------------------------------------------------------
     def run(self) -> None:
-        import inputs
         from probe_ray.index.build import IndexConfig
 
-        shape, n_base, n_files, builds, cfg_kw = WORKLOADS[self.workload]
-        self.shape, self.cfg = shape, IndexConfig(**cfg_kw)
-        t0 = time.perf_counter()
-        corpus = os.path.join(self.work, "corpus")
-        base_files = inputs.write_corpus(shape, self.seed, corpus, n_base, n_files)
-        n_app = n_base // 20
-        appends = [
-            inputs.make_rows(shape, self.seed, n_base + j * n_app, n_app) for j in range(APPENDS)
-        ]
-        frags = [
-            inputs.upsert_fragment(shape, self.seed, n_base, u, UPSERT_DOCS) for u in range(UPSERT_CHAIN)
-        ]
-        if shape == "code":
-            self.queries = [(n, q) for n, q in inputs.HOT_QUERIES.items()]
-        else:
-            cold = inputs.ZipfStream(self.seed, stream=1)
-            self.queries = [cold.next() for _ in range(6)]
-        self.detail["n_base_docs"] = n_base
+        shape, n_base, self.n_files, cfg_kw, self.plan = WORKLOADS[self.workload]
+        self.shape, self.cfg, self.n_base = shape, IndexConfig(**cfg_kw), n_base
+        self.n_app = n_base // 20
+        self.corpus = os.path.join(self.work, "corpus")
+        self.scratch = os.path.join(self.work, "scratch")
+        self.times: dict[str, list[float]] = {"build": [], "append": [], "upsert_visible": [], "upsert_segment": []}
         idx = os.path.join(self.work, "index")
         steps = [
-            ("warm_up", self._warm_up),
-            ("build", lambda: self.phase_build(base_files, idx, n_base, corpus, builds)),
-            ("append", lambda: self.phase_append(appends, corpus, idx, n_base + APPENDS * n_app)),
+            ("inputs", self.phase_inputs),
+            ("build", lambda: self.phase_build(idx)),
             ("setup", lambda: self.phase_setup(idx)),
-            ("gate", lambda: self.phase_gate(corpus)),
-            ("window", self.phase_window),
-            ("upserts", lambda: self.phase_upserts(idx, frags)),
+            ("gate", self.phase_gate),
+            ("measure", self.phase_measure),
         ]
         if self.tracer:
-            steps.append(("probes", lambda: self.phase_probes(corpus, idx)))
-        phases = self.detail["phase_s"] = {"inputs": time.perf_counter() - t0}
+            steps.append(("probes", lambda: self.phase_probes(idx)))
+        phases = self.detail["phase_s"] = {}
         for name, fn in steps:
             t0 = time.perf_counter()
             fn()
             phases[name] = time.perf_counter() - t0
+        if self.tracer:
+            self._overhead_probe(self.reader)
+        self.reader.close()
 
-    def _warm_up(self) -> None:
-        """One small Dataset job so the first timed build does not pay the
-        session's Ray Data start (a long-lived cluster pays it once)."""
-        import ray.data
+    def phase_inputs(self) -> None:
+        """Generate the inputs and the oracle's answers for the gate while
+        the warm-up runs: a placeholder actor takes the CPUs the warm
+        reader will hold, and an untimed build of half the base corpus
+        starts the session's Ray Data, imports the engine in its workers
+        and touches the object store, so the first timed build pays none
+        of it."""
+        import gate
+        import inputs
 
-        def hold(b):
-            time.sleep(0.05)
-            return b
+        self.base_files = inputs.write_corpus(self.shape, self.seed, self.corpus, self.n_base, self.n_files)
+        warm = self.submit(self._warm_up)
+        n_apps = max(len(run) for run in re.split("[BC]", self.plan))
+        self.appends = [
+            inputs.write_rows(
+                inputs.make_rows(self.shape, self.seed, self.n_base + j * self.n_app, self.n_app),
+                os.path.join(self.work, "appends", f"append-{j:02d}.parquet"),
+            )
+            for j in range(n_apps)
+        ]
+        self.frags = []
+        for u in range(UPSERT_CHAIN):
+            frag, marker = inputs.upsert_fragment(self.shape, self.seed, self.n_base, u, UPSERT_DOCS)
+            path = inputs.write_rows(frag, os.path.join(self.work, "upserts", f"frag-{u}.parquet"))
+            want = set(zip(frag.column("repo").to_pylist(), frag.column("path").to_pylist()))
+            self.frags.append((path, marker, want))
+        if self.shape == "code":
+            self.queries = list(inputs.HOT_QUERIES.items())
+            gate_qs = [q for _n, q in self.queries]
+        else:
+            cold = inputs.ZipfStream(self.seed, stream=1)
+            self.queries = [cold.next() for _ in range(6)]
+            # the oracle tokenizes the whole corpus once per query context,
+            # so the sample is small: the cold pass's two index-path
+            # queries and one hybrid query, quoted on even seeds and
+            # -excluded on odd ones
+            index_qs = [q for n, q in self.queries if n in ("and", "or", "required")]
+            gate_qs = index_qs[:2] + [dict(self.queries)["excluded" if self.seed % 2 else "quoted"]]
+        self.detail["n_base_docs"] = self.n_base
+        t0 = time.perf_counter()
+        self.oracle = gate.expected(self.base_files, gate_qs, K)
+        self.detail["oracle_s"] = time.perf_counter() - t0
+        self.placeholder, _ = self.wait("build", "warm-up", warm)
+        shutil.rmtree(os.path.join(self.work, "warm"), ignore_errors=True)
 
-        ds = ray.data.range(RAY_CPUS * 4, override_num_blocks=RAY_CPUS * 2)
-        self.op("build", "warm-up Dataset job", lambda: ds.map_batches(hold, batch_format="pyarrow").materialize())
+    def _warm_up(self):
+        import ray
 
-    def phase_build(self, files: list[str], idx: str, n_base: int, corpus: str, builds: int) -> None:
-        """``builds`` fresh builds of the base index; build_docs_per_s uses
-        their median time, the per-layer figures the last build."""
         from probe_ray.index.build import build_index
 
-        times = []
-        for b in range(builds):
-            shutil.rmtree(idx, ignore_errors=True)
-            with self.span("build", request=f"build{b}"):
-                manifest, secs = self.op("build", f"build_index {b}", lambda: build_index([corpus], idx, self.cfg))
-            self.check(manifest["n_docs"] == n_base, f"build n_docs {manifest['n_docs']} != {n_base}")
-            times.append(secs)
-        self.metrics["build_docs_per_s"] = n_base / statistics.median(times)
-        self.detail["build_s_all"] = times
-        in_bytes = sum(os.path.getsize(f) for f in files)
+        @ray.remote(num_cpus=READER_CPUS)
+        class Placeholder:
+            def ready(self) -> bool:
+                return True
+
+        holder = Placeholder.remote()
+        ray.get(holder.ready.remote())
+        half = self.base_files[: len(self.base_files) // 2]
+        build_index(half, os.path.join(self.work, "warm"), self.cfg)
+        return holder
+
+    def _build(self, idx: str, label: str) -> dict:
+        """One fresh build of the base corpus, timed; checks n_docs."""
+        from probe_ray.index.build import build_index
+
+        shutil.rmtree(idx, ignore_errors=True)
+        with self.span("build", request=label):
+            manifest, secs = self.op("build", f"build_index ({label})", lambda: build_index([self.corpus], idx, self.cfg))
+        self.check(manifest["n_docs"] == self.n_base, f"{label}: n_docs {manifest['n_docs']} != {self.n_base}")
+        self.times["build"].append(secs)
+        return manifest
+
+    def phase_build(self, idx: str) -> None:
+        """The served index: the run's first timed build, made while the
+        placeholder holds the warm reader's CPUs, as every later build runs
+        next to the warm reader. The size ratio and the per-layer build
+        figures come from this build."""
+        import ray
+
+        manifest = self._build(idx, "build0")
+        ray.kill(self.placeholder)
+        self.placeholder = None
+        in_bytes = sum(os.path.getsize(f) for f in self.base_files)
         idx_bytes = _dir_bytes(idx)
         self.metrics["index_bytes_per_input_byte"] = idx_bytes / in_bytes
         self.detail["index_bytes"] = idx_bytes
@@ -283,29 +366,18 @@ class Bench:
             "build.tokenize_write_s": tok,
             "build.finalize_max_s": max(s.get("finalize_task_s_max", 0.0) for s in steps),
             "build.finalize_sum_s": sum(s.get("finalize_task_s_sum", 0.0) for s in steps),
-            "build.rest_s": secs - tok,
+            "build.rest_s": self.times["build"][0] - tok,
             "build.exchange_bytes": _dir_bytes(idx, "tokenized"),
             "build.postings_bytes": _dir_bytes(idx, "postings"),
         })
 
-    def phase_append(self, appends, corpus: str, idx: str, n_final: int) -> None:
-        import inputs
-        from probe_ray.index.build import build_index
-
-        times = []
-        for j, rows in enumerate(appends):
-            inputs.write_rows(rows, os.path.join(corpus, f"append-{j:02d}.parquet"))
-            with self.span("append", request=f"append{j}"):
-                manifest, secs = self.op("append", f"append {j}", lambda: build_index([corpus], idx, self.cfg))
-            times.append(secs)
-        self.check(manifest["n_docs"] == n_final, f"append n_docs {manifest['n_docs']} != {n_final}")
-        self.metrics["append_s"] = statistics.median(times)
-        self.detail["append_s_all"] = times
-
     def phase_setup(self, idx: str):
         """Set-up rounds: open a reader, answer a first query, then
         the cold pass over the workload's query set. setup_s is their
-        median; the last round's reader serves the query window."""
+        median; the last round's reader (the warm reader) serves the
+        queries for the rest of the run."""
+        import ray
+
         from probe_ray.search.searcher import IndexReader
 
         rounds, rd = [], None
@@ -313,6 +385,7 @@ class Bench:
         for r in range(SETUP_ROUNDS):
             if rd is not None:
                 rd.close()
+            self.settle(RAY_CPUS)
             t0 = time.perf_counter()
             with self.span("searcher.open", request=f"open{r}"):
                 rd, _ = self.op("open", f"open reader (round {r})", lambda: IndexReader(idx))
@@ -327,85 +400,64 @@ class Bench:
         self.detail["cold_s"] = self.cold
         self.n_docs = rd.n_docs
         self.reader = rd
+        # what the write side finds free next to the warm reader
+        self.free_cpus = ray.available_resources().get("CPU", 0.0)
 
     def _is_hybrid(self, q: str) -> bool:
         from probe_ray.query.bm25 import create_query_plan
 
         return bool(create_query_plan(q).special_terms)
 
-    def phase_gate(self, corpus: str) -> None:
+    def phase_gate(self) -> None:
+        """Top-k of the warm reader against the oracle's answers."""
         import gate
 
         rd = self.reader
-        qs = [q for _n, q in self.queries]
-        if self.shape == "zipf":
-            # the oracle tokenizes the whole corpus once per query context,
-            # so the sample is small: the cold pass's two index-path
-            # queries and one hybrid query, quoted on even seeds and
-            # -excluded on odd ones
-            hyb = {n: q for n, q in self.queries if self._is_hybrid(q)}
-            qs = [q for q in qs if not self._is_hybrid(q)][:2] + [hyb["excluded" if self.seed % 2 else "quoted"]]
-        results = {}
-        for q in qs:
+        got = {}
+        for q in self.oracle:
             t, _ = self.op("query", f"gate search {q!r}", lambda q=q: rd.search(q, k=K))
-            results[q] = list(zip(t.column("repo").to_pylist(), t.column("path").to_pylist(), t.column("score").to_pylist()))
-        files = sorted(os.path.join(corpus, f) for f in os.listdir(corpus) if f.endswith(".parquet"))
-        bad, secs = self.op("gate", "oracle rank_files", lambda: gate.check(files, results, K))
-        self.detail["gate"] = {"queries": len(results), "oracle_s": secs, "mismatches": bad}
+            got[q] = list(zip(t.column("repo").to_pylist(), t.column("path").to_pylist(), t.column("score").to_pylist()))
+        bad = gate.compare(got, self.oracle)
+        self.detail["gate"] = {"queries": len(got), "mismatches": bad}
         self.check(not bad, f"rank identity failed for {len(bad)} queries: {bad[:3]}")
 
-    def phase_window(self) -> None:
-        """Closed loop, one client, for --seconds; closes the reader after."""
+    # ---- the measured part: query bursts and write operations --------------
+    def phase_measure(self) -> None:
+        """``--seconds`` of queries in equal bursts, one write operation
+        of the workload's plan between each two."""
         import numpy as np
 
         import inputs
 
-        rd = self.reader
-        rng = np.random.default_rng([self.seed, 0x10AD])
-        stream = inputs.ZipfStream(self.seed, stream=2)
-        lat = {"index": [], "hybrid": []}
-        hybrid_of: dict[str, bool] = {}
-        order: list = []
+        self.rng = np.random.default_rng([self.seed, 0x10AD])
+        self.stream = inputs.ZipfStream(self.seed, stream=2)
+        self.order: list = []
+        self.last = self.queries[0]
+        self.lat: dict[str, list[float]] = {"index": [], "hybrid": []}
+        self.by_shape: dict[str, list[float]] = {}
+        self.hybrid_of: dict[str, bool] = {}
+        self.window_s = 0.0
+        self.n_q = 0
         if self.tracer:
-            rd.prune_stats(reset=True)
-        gc.collect()  # the oracle's garbage is the harness's, not the engine's
+            self.reader.prune_stats(reset=True)
+        writes = {"B": self.write_build, "A": self.write_append, "C": self.write_chain}
+        per_burst = self.seconds / (len(self.plan) + 1)
         self.detail["host_speed_before"] = _host_speed()
-        n = 0
-        t_end = time.perf_counter() + self.seconds
-        t_begin = time.perf_counter()
-        while time.perf_counter() < t_end:
-            if self.shape == "code":
-                if not order:
-                    order = [self.queries[i] for i in rng.permutation(len(self.queries))]
-                name, q = order.pop()
-            else:
-                name, q = stream.next()
-            hyb = hybrid_of.get(q)
-            if hyb is None:
-                hyb = hybrid_of[q] = self._is_hybrid(q)
-            with self.span("search", request=f"q{n}", shape=name, hybrid=hyb, window=True):
-                _, secs = self.op("query", f"search {q!r}", lambda q=q: rd.search(q, k=K), critical=False)
-            n += 1
-            if secs is None:
-                continue
-            lat["hybrid" if hyb else "index"].append(1000 * secs)
-        wall = time.perf_counter() - t_begin
+        cpu0 = _cpu_times()
+        for b in range(len(self.plan) + 1):
+            self.burst(b, per_burst)
+            if b < len(self.plan):
+                writes[self.plan[b]](b)
+        cpu1 = _cpu_times()
+        if len(cpu0) > 7 and len(cpu1) > 7:
+            # the share of CPU time the host's other tenants took from this
+            # machine's CPUs during the measured part
+            d = [b - a for a, b in zip(cpu0, cpu1)]
+            self.detail["cpu_steal_frac"] = d[7] / max(1, sum(d))
         self.detail["host_speed_after"] = _host_speed()
-        self.detail["window_ms"] = lat
-        done = len(lat["index"]) + len(lat["hybrid"])
-        self.metrics["queries_per_s"] = done / wall
-        for cls, pre in (("index", "indexpath"), ("hybrid", "hybrid")):
-            s = lat[cls]
-            if not s:
-                continue
-            p, v = tail(s)
-            self.metrics[f"{pre}_p50_ms"] = statistics.median(s)
-            self.metrics[f"{pre}_tail_ms"] = v
-            self.detail[f"{pre}_tail"] = {"percentile": p, "samples": len(s), "beyond": len(s) - int(p * len(s) / 100)}
-        self.detail["window_s"] = wall
-        self.detail["distinct_queries"] = len(hybrid_of)
+        shutil.rmtree(self.scratch, ignore_errors=True)
         if self.tracer:
-            st = rd.prune_stats(reset=True)
+            st = self.reader.prune_stats(reset=True)
             tot = st.get("hot_blocks_total", 0)
             self.layer.update(
                 {
@@ -415,13 +467,126 @@ class Bench:
                     "searcher.anchored_refined": st.get("anchored_refined", 0),
                 }
             )
-            self._overhead_probe(rd)
-        rd.close()
+
+    def _next_query(self) -> tuple[str, str]:
+        if self.shape == "code":
+            # the 15 queries in a fresh seeded order each cycle
+            if not self.order:
+                self.order = [self.queries[i] for i in self.rng.permutation(len(self.queries))]
+            return self.order.pop()
+        return self.stream.next()
+
+    def burst(self, b: int, seconds: float) -> None:
+        """Closed loop, one client, for ``seconds``. It starts with an
+        untimed repeat of the previous query: the warm reader's actors sat
+        idle through the write operation."""
+        rd = self.reader
+        gc.collect()  # the write side's garbage is the harness's, not the queries'
+        name, q = self.last
+        with self.span("search", request=f"burst{b}", shape=name):
+            self.op("query", f"burst {b} warm-up search {q!r}", lambda: rd.search(q, k=K), critical=False)
+        t_begin = time.perf_counter()
+        t_end = t_begin + seconds
+        while time.perf_counter() < t_end:
+            name, q = self.last = self._next_query()
+            hyb = self.hybrid_of.get(q)
+            if hyb is None:
+                hyb = self.hybrid_of[q] = self._is_hybrid(q)
+            with self.span("search", request=f"q{self.n_q}", shape=name, hybrid=hyb, window=True):
+                _, secs = self.op("query", f"search {q!r}", lambda q=q: rd.search(q, k=K), critical=False)
+            self.n_q += 1
+            if secs is None:
+                continue
+            self.lat["hybrid" if hyb else "index"].append(1000 * secs)
+            self.by_shape.setdefault(name, []).append(1000 * secs)
+        self.window_s += time.perf_counter() - t_begin
+
+    def write_build(self, b: int) -> None:
+        self._build(self.scratch, f"build{len(self.times['build'])}")
+        self.n_appended = 0
+
+    def write_append(self, b: int) -> None:
+        """Add the next +5% file to the scratch index's inputs and build
+        again (build_index appends the new fragment)."""
+        from probe_ray.index.build import build_index
+
+        j = self.n_appended
+        paths = [self.corpus] + self.appends[: j + 1]
+        want = self.n_base + (j + 1) * self.n_app
+        with self.span("append", request=f"append{len(self.times['append'])}"):
+            manifest, secs = self.op("append", f"append {j} (burst {b})", lambda: build_index(paths, self.scratch, self.cfg))
+        self.check(manifest["n_docs"] == want, f"append {j}: n_docs {manifest['n_docs']} != {want}")
+        self.times["append"].append(secs)
+        self.n_appended = j + 1
+
+    def write_chain(self, b: int) -> None:
+        """The upsert chain on the scratch index. Each upsert is visible
+        when a federated reader over the scratch index and every delta
+        answers the upsert's marker query with exactly the fragment's
+        documents; the reader is closed before the next link."""
+        from probe_ray.index.upsert import upsert_segment
+        from probe_ray.search.searcher import FederatedReader
+
+        c = len(self.times["upsert_visible"])
+        members, visible = [self.scratch], []
+        for u, (path, marker, want) in enumerate(self.frags):
+            delta = os.path.join(self.work, f"delta-{u}")
+            shutil.rmtree(delta, ignore_errors=True)
+            self.settle(self.free_cpus)
+            t0 = time.perf_counter()
+            with self.span("upsert", request=f"upsert{c}.{u}"):
+                _, secs = self.op("upsert", f"upsert_segment {u} (chain {c})", lambda: upsert_segment(members, path, delta))
+            self.times["upsert_segment"].append(secs)
+            members = members + [delta]
+            with self.span("searcher.open", request=f"fedopen{c}.{u}"):
+                fr, _ = self.op("open", f"open federated reader {u} (chain {c})", lambda: FederatedReader(members, tombstone_scope="member"))
+                with self.span("search", request=f"marker{c}.{u}", hybrid=False):
+                    res, _ = self.op("upsert", f"marker query {u} (chain {c})", lambda: fr.search(marker, k=UPSERT_DOCS + K))
+            visible.append(time.perf_counter() - t0)
+            got = set(zip(res.column("repo").to_pylist(), res.column("path").to_pylist()))
+            fr.close()
+            self.check(got == want and res.num_rows == len(want), f"chain {c} upsert {u}: marker returned {res.num_rows} docs, want the fragment's {len(want)}")
+        self.settle(self.free_cpus)
+        self.times["upsert_visible"].append(statistics.mean(visible))
+        self.detail.setdefault("upsert_visible_s_links", []).append(visible)
+
+    def report_metrics(self) -> None:
+        """End-to-end metrics from the samples of the whole run (of the
+        part that ran, when the run stopped early)."""
+        t = getattr(self, "times", {})
+        if t.get("build"):
+            self.metrics["build_docs_per_s"] = self.n_base / statistics.median(t["build"])
+            self.detail["build_s_all"] = t["build"]
+        for key, metric in (("append", "append_s"), ("upsert_visible", "upsert_visible_s")):
+            if t.get(key):
+                self.metrics[metric] = statistics.median(t[key])
+                self.detail[f"{metric}_all"] = t[key]
+        if self.tracer and t.get("upsert_segment"):
+            self.layer["upsert.segment_s"] = statistics.median(t["upsert_segment"])
+        lat = getattr(self, "lat", None)
+        if lat is None or not self.window_s:
+            return
+        self.metrics["queries_per_s"] = (len(lat["index"]) + len(lat["hybrid"])) / self.window_s
+        for cls, pre, pct in zip(("index", "hybrid"), ("indexpath", "hybrid"), TAIL_PCT[self.workload]):
+            s = lat[cls]
+            if not s:
+                continue
+            p, v = tail(s, pct)
+            self.metrics[f"{pre}_p50_ms"] = statistics.median(s)
+            self.metrics[f"{pre}_tail_ms"] = v
+            self.detail[f"{pre}_tail"] = {"percentile": p, "samples": len(s), "beyond": len(s) - int(p * len(s) / 100)}
+        self.detail.update(
+            window_s=self.window_s,
+            bursts=len(self.plan) + 1,
+            distinct_queries=len(self.hybrid_of),
+            shape_p50_ms={n: statistics.median(v) for n, v in sorted(self.by_shape.items())},
+            window_ms=lat,
+        )
 
     def _overhead_probe(self, rd) -> None:
         """Tracing overhead: the warm cold-pass queries, each run traced
         and untraced back to back (order alternating), three passes."""
-        for _name, q in self.queries:  # refill the caches the window evicted
+        for _name, q in self.queries:  # refill the caches the bursts evicted
             self.op("query", f"overhead warm-up {q!r}", lambda q=q: rd.search(q, k=K))
         lat = {True: [], False: []}
         for p in range(3):
@@ -436,39 +601,7 @@ class Bench:
         self.layer["trace.overhead_frac"] = statistics.median(lat[True]) / base - 1
         self.detail["trace_overhead_base"] = {"untraced_p50_ms": base, "traced_p50_ms": statistics.median(lat[True]), "pairs": len(lat[True])}
 
-    def phase_upserts(self, idx: str, frags) -> None:
-        """Each upsert is visible when a federated reader over the base and
-        every delta answers the upsert's marker query with exactly the
-        fragment's documents; closed before the next link of the chain."""
-        import inputs
-        from probe_ray.index.upsert import upsert_segment
-        from probe_ray.search.searcher import FederatedReader
-
-        members = [idx]
-        visible, seg = [], []
-        for u, (frag, marker) in enumerate(frags):
-            path = inputs.write_rows(frag, os.path.join(self.work, "upserts", f"frag-{u}.parquet"))
-            delta = os.path.join(self.work, f"delta-{u}")
-            want = set(zip(frag.column("repo").to_pylist(), frag.column("path").to_pylist()))
-            t0 = time.perf_counter()
-            with self.span("upsert", request=f"upsert{u}"):
-                _, secs = self.op("upsert", f"upsert_segment {u}", lambda: upsert_segment(members, path, delta))
-            seg.append(secs)
-            members = members + [delta]
-            with self.span("searcher.open", request=f"fedopen{u}"):
-                fr, _ = self.op("open", f"open federated reader {u}", lambda: FederatedReader(members, tombstone_scope="member"))
-                with self.span("search", request=f"marker{u}", hybrid=False):
-                    res, _ = self.op("upsert", f"marker query {u}", lambda: fr.search(marker, k=UPSERT_DOCS + K))
-            visible.append(time.perf_counter() - t0)
-            got = set(zip(res.column("repo").to_pylist(), res.column("path").to_pylist()))
-            fr.close()
-            self.check(got == want and res.num_rows == len(want), f"upsert {u}: marker returned {res.num_rows} docs, want the fragment's {len(want)}")
-        self.metrics["upsert_visible_s"] = statistics.mean(visible)
-        self.detail["upsert_visible_s_all"] = visible
-        if self.tracer:
-            self.layer["upsert.segment_s"] = statistics.median(seg)
-
-    def phase_probes(self, corpus: str, idx: str) -> None:
+    def phase_probes(self, idx: str) -> None:
         """Layer probes timed outside the engine's pipelines."""
         import numpy as np
         import pyarrow.dataset as pads
@@ -479,7 +612,7 @@ class Bench:
         from probe_ray.tokenize.tokenizer import tokenize
 
         rng = np.random.default_rng([self.seed, 0x70C])
-        t = pads.dataset(os.path.join(corpus, "part-00000.parquet")).to_table(columns=["content"])
+        t = pads.dataset(self.base_files[0]).to_table(columns=["content"])
         docs = [t.column("content")[int(i)].as_py() for i in rng.choice(t.num_rows, size=min(400, t.num_rows), replace=False)]
         reps = []
         for _ in range(3):
@@ -511,6 +644,11 @@ class Bench:
             if self.reported:
                 return False
             self.reported = True
+            try:
+                self.report_metrics()
+            except Exception as e:  # report what was gathered
+                self.errors.append(f"end-to-end metrics: {type(e).__name__}: {e}")
+                _log(traceback.format_exc())
             if self.tracer and status == "ok":
                 try:
                     self.layer_metrics()
@@ -671,6 +809,11 @@ def main() -> int:
             log_to_driver=False,
             object_store_memory=400 * 2**20,
             _temp_dir=ray_tmp,
+            # Ray starts its workers at niceness 15, so any other process
+            # on the host would take their CPU before them: the
+            # benchmark's builds and query actors run at the default
+            # priority, like the process that drives them
+            _system_config={"worker_niceness": 0},
             # workers import probe_ray from the repository root, whatever
             # this process's working directory
             runtime_env={"env_vars": {"PYTHONPATH": ROOT}},
