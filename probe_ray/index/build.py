@@ -683,9 +683,11 @@ def build_index(
     # An out_dir nested inside an input dir must never sweep its own
     # (possibly partial) output back in as corpus fragments — a resumed
     # build would otherwise index its own docstats/postings parquet.
-    out_prefix = os.path.abspath(out_dir) + os.sep
+    # Symlinks are resolved on both sides: an input reaching out_dir
+    # through a link is still the build's own output.
+    out_prefix = os.path.realpath(out_dir) + os.sep
     files = [
-        f for f in files if not os.path.abspath(f).startswith(out_prefix)
+        f for f in files if not os.path.realpath(f).startswith(out_prefix)
     ]
     if not files:
         raise ValueError(f"no parquet fragments under {input_paths}")

@@ -14,7 +14,7 @@ import os
 import numpy as np
 import pyarrow as pa
 
-from probe_ray.index.build import IndexConfig, build_index
+from probe_ray.index.build import IndexConfig, build_index, doc_hash64
 from probe_ray.search.searcher import IndexReader
 
 CACHE_ROOT = "/tmp/probe_ray_cache"
@@ -532,6 +532,18 @@ def hybrid_rrf_search(
 FEDERATED_QUERIES = ("single_term", "and", "or_chain", "grouped", "required")
 
 
+def _hash_parity_keep(batch: pa.Table, part: int) -> pa.Table:
+    """The rows of ``batch`` whose (repo, path) hash has parity ``part``
+    — one member's shard of the two-way federated corpus."""
+    m = [
+        doc_hash64(r, p) % 2 == part
+        for r, p in zip(
+            batch.column("repo").to_pylist(), batch.column("path").to_pylist()
+        )
+    ]
+    return batch.filter(pa.array(m, pa.bool_()))
+
+
 def fts_federated_search(sf_dir: str, k: int = 10) -> pa.Table:
     """Shard the code corpus into two member indexes by doc-hash parity,
     build each INDEPENDENTLY, then search through ``FederatedReader``
@@ -543,10 +555,11 @@ def fts_federated_search(sf_dir: str, k: int = 10) -> pa.Table:
     Reference analog: probe searches one repo root per invocation
     (src/search/search_runner.rs); multi-root = multiple invocations.
     Here the shard layout is a first-class reader."""
+    import shutil
+
     import ray
 
     from probe_ray.data.synth import CORPUS_VERSION
-    from probe_ray.index.build import doc_hash64
     from probe_ray.search.searcher import FederatedReader
 
     corpus = code_corpus_parquet(sf_dir)
@@ -555,29 +568,21 @@ def fts_federated_search(sf_dir: str, k: int = 10) -> pa.Table:
         frag = os.path.join(
             _cache_dir(sf_dir), f"fed_corpus{part}_v{CORPUS_VERSION}"
         )
-        if not os.path.isdir(frag) or not os.listdir(frag):
-
-            def keep(batch: pa.Table, _p=part) -> pa.Table:
-                m = [
-                    doc_hash64(r, p) % 2 == _p
-                    for r, p in zip(
-                        batch.column("repo").to_pylist(),
-                        batch.column("path").to_pylist(),
-                    )
-                ]
-                return batch.filter(pa.array(m))
-
+        member = os.path.join(_cache_dir(sf_dir), f"fed_m{part}_v{CORPUS_VERSION}")
+        marker = os.path.join(frag, "_done")
+        if not os.path.exists(marker):
+            # a fragment without its marker is a partial write: redo it,
+            # and the member index that may have been built over it
+            shutil.rmtree(frag, ignore_errors=True)
+            shutil.rmtree(member, ignore_errors=True)
             ray.data.read_parquet(corpus).map_batches(
-                keep, batch_format="pyarrow", zero_copy_batch=True
+                _hash_parity_keep,
+                fn_kwargs={"part": part},
+                batch_format="pyarrow",
+                zero_copy_batch=True,
             ).write_parquet(frag)
-        members.append(
-            _ensure_index_at(
-                frag,
-                os.path.join(
-                    _cache_dir(sf_dir), f"fed_m{part}_v{CORPUS_VERSION}"
-                ),
-            )
-        )
+            open(marker, "w").close()
+        members.append(_ensure_index_at(frag, member))
 
     mono = _reader(ensure_code_index(sf_dir))
     fed = FederatedReader(members)

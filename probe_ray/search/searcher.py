@@ -13,10 +13,12 @@ Query flow (SURVEY.md SS4.2 "query job"):
     driver: df for the query terms from the sorted term dictionary
             (parquet row-group pruning; no postings scan) -> global idfs
     -> SegmentWorker actor pool, created once per IndexReader; each actor
-       owns a static set of (wave, subshard) segments and caches their
-       docstats in memory across queries
-    -> per segment: term-filtered parquet read of the postings (row-group
-       pruned by the sorted term column) -> exact block-max top-k scoring
+       owns a static set of (wave, subshard) segments, holds their docstats
+       in memory and keeps one open SortedParquet handle per segment file
+    -> per segment: the handle maps the query terms to the postings row
+       groups whose footer term range can hold them and reads only those
+       (through a byte-bounded LRU of decoded row groups) -> exact
+       block-max top-k scoring
     -> driver merges the per-segment top-k tables (tiny) by
        (score desc, repo, path).
 
@@ -49,8 +51,11 @@ is exposed only through this explicit API.
 
 from __future__ import annotations
 
+import bisect
 import json
 import os
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,22 +104,127 @@ PRUNE_STATS = {
     "anchored_refined": 0,
 }
 
-_DOCSTATS_CACHE: dict[tuple[str, int, int], pa.Table] = {}
+# Decoded row groups a SegmentWorker keeps across queries (postings,
+# units and unit grams of all its segments), bounded by Arrow buffer
+# bytes. A postings row group holds POSTINGS_ROW_GROUP terms.
+ROW_GROUP_CACHE_BYTES = 32 << 20
+
+# Per-segment files a SegmentWorker reads by key: (path fn, sort column).
+_SEGMENT_FILES = {
+    "postings": (_postings_path, "term"),
+    "units": (_units_path, "term"),
+    "units_grams": (_units_grams_path, "gram"),
+}
 
 RESULT_COLS = [
     "query", "score", "repo", "path", "commit", "lang", "sha256", "doc_len",
 ]
 
 
-def _load_docstats(index_dir: str, wave: int, subshard: int) -> pa.Table:
-    key = (index_dir, wave, subshard)
-    t = _DOCSTATS_CACHE.get(key)
-    if t is None:
-        t = pq.read_table(_docstats_path(index_dir, wave, subshard))
-        if len(_DOCSTATS_CACHE) > 64:
-            _DOCSTATS_CACHE.clear()
-        _DOCSTATS_CACHE[key] = t
-    return t
+class _RowGroupLRU:
+    """Decoded parquet row groups, evicted least recently used first once
+    their summed ``Table.nbytes`` passes ``max_bytes``. A row group larger
+    than the bound is never kept, so a bound of 0 caches nothing."""
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._tables: OrderedDict[tuple, pa.Table] = OrderedDict()
+
+    def get(self, key: tuple) -> pa.Table | None:
+        t = self._tables.get(key)
+        if t is not None:
+            self._tables.move_to_end(key)
+        return t
+
+    def put(self, key: tuple, table: pa.Table) -> None:
+        if table.nbytes > self.max_bytes:
+            return
+        self._tables[key] = table
+        self.nbytes += table.nbytes
+        while self.nbytes > self.max_bytes:
+            _, old = self._tables.popitem(last=False)
+            self.nbytes -= old.nbytes
+
+
+class SortedParquet:
+    """Read handle over one parquet file sorted by its ``key`` column
+    (a file whose row-group key ranges are out of order is refused).
+
+    The file is memory-mapped and its footer parsed once; each row
+    group's key min/max comes from the footer statistics. ``read(keys)``
+    bisects every key to the row groups whose range can hold it, reads
+    only those (through the owner's row-group LRU) and keeps the rows
+    whose key is in ``keys`` — the rows, in file order, of
+    ``pq.read_table(path, filters=[(key, "in", keys)])`` without building
+    a dataset per call. Row groups without key statistics are read for
+    every non-empty lookup. The handle belongs to one reader or worker:
+    an index rebuilt in place at the same path needs a new handle."""
+
+    def __init__(self, path: str, key: str, cache: _RowGroupLRU | None = None):
+        self.path = path
+        self.key = key
+        self._cache = cache if cache is not None else _RowGroupLRU(0)
+        self._pf = pq.ParquetFile(path, memory_map=True)
+        md = self._pf.metadata
+        col = [md.schema.column(i).path for i in range(md.num_columns)].index(key)
+        self._always: list[int] = []
+        self._rgs: list[int] = []
+        self._mins: list = []
+        self._maxs: list = []
+        for rg in range(md.num_row_groups):
+            meta = md.row_group(rg)
+            if meta.num_rows == 0:
+                continue
+            st = meta.column(col).statistics
+            if st is None or not st.has_min_max:
+                self._always.append(rg)
+            else:
+                self._rgs.append(rg)
+                self._mins.append(st.min)
+                self._maxs.append(st.max)
+        if self._mins != sorted(self._mins) or self._maxs != sorted(self._maxs):
+            raise ValueError(f"{path}: row groups are not sorted by {key!r}")
+
+    def _row_groups_for(self, keys: list) -> list[int]:
+        rgs = set(self._always) if keys else set()
+        for k in keys:
+            lo = bisect.bisect_left(self._maxs, k)
+            rgs.update(self._rgs[lo : bisect.bisect_right(self._mins, k)])
+        return sorted(rgs)
+
+    def row_group(self, rg: int, columns: list[str] | None = None) -> pa.Table:
+        ck = (self.path, rg, None if columns is None else tuple(columns))
+        t = self._cache.get(ck)
+        if t is None:
+            t = self._pf.read_row_group(rg, columns=columns)
+            self._cache.put(ck, t)
+        return t
+
+    def read_all(self, columns: list[str] | None = None) -> pa.Table:
+        return self._concat(range(self._pf.num_row_groups), columns)
+
+    def read(self, keys, columns: list[str] | None = None) -> pa.Table:
+        want = sorted(set(keys))
+        cols = None if columns is None else list(dict.fromkeys([self.key, *columns]))
+        rgs = self._row_groups_for(want)
+        t = self._concat(rgs, cols)
+        if rgs:
+            kcol = t.column(self.key)
+            t = t.filter(pc.is_in(kcol, value_set=pa.array(want, kcol.type)))
+        return t if columns is None else t.select(columns)
+
+    def _concat(self, rgs, columns: list[str] | None) -> pa.Table:
+        tables = [self.row_group(rg, columns) for rg in rgs]
+        if not tables:
+            schema = self._pf.schema_arrow
+            if columns is not None:
+                schema = pa.schema([schema.field(c) for c in columns], schema.metadata)
+            return schema.empty_table()
+        return tables[0] if len(tables) == 1 else pa.concat_tables(tables)
+
+    def close(self) -> None:
+        self._pf.close()
 
 
 @dataclass
@@ -180,11 +290,15 @@ def score_segment(
     k: int,
     avgdl: float,
     min_dlen: int,
+    stats: pa.Table | None = None,
 ) -> pa.Table:
     """Score one (wave, subshard) segment for every query; return its
     top-k rows per query (comparator: -score, repo, path), plus zero-match
-    fill rows for specs whose AST includes empty docs at score 0."""
-    stats = _load_docstats(index_dir, wave, sub)
+    fill rows for specs whose AST includes empty docs at score 0.
+    ``stats`` is the segment's docstats table, read from the index when
+    the caller holds none."""
+    if stats is None:
+        stats = pq.read_table(_docstats_path(index_dir, wave, sub))
     doc_len_all = stats.column("doc_len").to_numpy().astype(np.float64)
 
     terms = postings.column("term").to_pylist()
@@ -729,11 +843,10 @@ def score_segment(
 
 class SegmentWorker:
     """Stateful query actor owning a static set of (wave, subshard)
-    segments. Docstats are cached in memory across queries; postings are
-    read per query with a term-IN filter (row-group pruned — the postings
-    files are sorted by term with small row groups)."""
-
-    POSTINGS_CACHE_TERMS = 8192  # per actor, across its segments
+    segments. Docstats are held in memory; postings, units and unit
+    grams are read through one SortedParquet handle per segment file,
+    opened on first use and sharing the worker's row-group LRU
+    (ROW_GROUP_CACHE_BYTES)."""
 
     def __init__(self, index_dir: str, parts: list[tuple[int, int]],
                  avgdl: float, min_dlen: int):
@@ -741,33 +854,30 @@ class SegmentWorker:
         self.parts = parts
         self.avgdl = avgdl
         self.min_dlen = min_dlen
-        # (wave, sub, term) -> posting row dict, or None for absent terms
-        # (negative entries stop re-reads for terms a segment lacks; the
-        # index is immutable so entries never invalidate)
-        self._cache: dict[tuple[int, int, str], dict | None] = {}
-        # unit vocabulary per segment, loaded lazily on first special query
-        self._unit_vocab_cache: dict[tuple[int, int], pa.Array] = {}
-        # warm the docstats cache up front (actor init = once)
-        for w, s in parts:
-            _load_docstats(index_dir, w, s)
+        self._row_groups = _RowGroupLRU(ROW_GROUP_CACHE_BYTES)
+        self._files: dict[tuple[str, int, int], SortedParquet] = {}
+        self._docstats = {
+            (w, s): pq.read_table(_docstats_path(index_dir, w, s))
+            for w, s in parts
+        }
+
+    def _file(self, kind: str, w: int, s: int) -> SortedParquet:
+        h = self._files.get((kind, w, s))
+        if h is None:
+            path_fn, key = _SEGMENT_FILES[kind]
+            h = SortedParquet(path_fn(self.index_dir, w, s), key, self._row_groups)
+            self._files[(kind, w, s)] = h
+        return h
+
+    def close(self) -> None:
+        """Release the open segment files and the row-group cache."""
+        for h in self._files.values():
+            h.close()
+        self._files.clear()
+        self._row_groups = _RowGroupLRU(ROW_GROUP_CACHE_BYTES)
 
     def _postings_for(self, w: int, s: int, terms: list[str]) -> pa.Table:
-        missing = [t for t in terms if (w, s, t) not in self._cache]
-        if missing:
-            got = pq.read_table(
-                _postings_path(self.index_dir, w, s),
-                filters=[("term", "in", missing)],
-            )
-            if len(self._cache) > self.POSTINGS_CACHE_TERMS:
-                self._cache.clear()
-            for row in got.to_pylist():
-                self._cache[(w, s, row["term"])] = row
-            for t in missing:
-                self._cache.setdefault((w, s, t), None)
-        rows = [r for t in terms if (r := self._cache[(w, s, t)]) is not None]
-        if not rows:
-            return _empty_postings()
-        return pa.Table.from_pylist(rows, schema=_empty_postings().schema)
+        return self._file("postings", w, s).read(terms)
 
     def apply_stage_pushdown(
         self, files: list[str], paths: list[str], columns: list[str], stage
@@ -791,15 +901,16 @@ class SegmentWorker:
         trigrams' row-group sets is a no-false-negative candidate set,
         so only those row groups of the unit vocabulary are read and
         substring-verified — sublinear in vocabulary size. Shorter terms
-        (or a pre-sidecar index layout) fall back to the full cached-
-        vocabulary substring pass."""
+        (or a pre-sidecar index layout) fall back to a substring pass over
+        the whole vocabulary (its row groups go through the worker's
+        row-group LRU)."""
         gpath = _units_grams_path(self.index_dir, w, s)
         pruned = [t for t in terms if len(t) >= 3] if os.path.exists(gpath) else []
         full = [t for t in terms if t not in pruned]
         matched: set[str] = set()
         if pruned:
             grams = sorted({t[j : j + 3] for t in pruned for j in range(len(t) - 2)})
-            gt = pq.read_table(gpath, filters=[("gram", "in", grams)])
+            gt = self._file("units_grams", w, s).read(grams)
             g2rg: dict[str, set[int]] = {}
             for g, rg in zip(
                 gt.column("gram").to_pylist(), gt.column("rg").to_pylist()
@@ -813,21 +924,25 @@ class SegmentWorker:
                 cand = set.intersection(*sets) if sets else set()
                 for rg in cand:
                     need_rgs.setdefault(rg, []).append(t)
-            if need_rgs:
-                pf = pq.ParquetFile(_units_path(self.index_dir, w, s))
-                for rg in sorted(need_rgs):
-                    vocab_rg = pf.read_row_group(rg, columns=["term"]).column(
-                        "term"
-                    ).combine_chunks()
-                    mask = None
-                    for t in need_rgs[rg]:
-                        m = pc.match_substring(vocab_rg, t, ignore_case=True)
-                        mask = m if mask is None else pc.or_(mask, m)
-                    idxs = np.flatnonzero(mask.to_numpy(zero_copy_only=False))
-                    if len(idxs):
-                        matched.update(vocab_rg.take(pa.array(idxs)).to_pylist())
+            units = self._file("units", w, s)
+            for rg in sorted(need_rgs):
+                vocab_rg = units.row_group(rg, ["term"]).column(
+                    "term"
+                ).combine_chunks()
+                mask = None
+                for t in need_rgs[rg]:
+                    m = pc.match_substring(vocab_rg, t, ignore_case=True)
+                    mask = m if mask is None else pc.or_(mask, m)
+                idxs = np.flatnonzero(mask.to_numpy(zero_copy_only=False))
+                if len(idxs):
+                    matched.update(vocab_rg.take(pa.array(idxs)).to_pylist())
         if full:
-            vocab = self._unit_vocab(w, s)
+            vocab = (
+                self._file("units", w, s)
+                .read_all(["term"])
+                .column("term")
+                .combine_chunks()
+            )
             mask = None
             for t in full:
                 m = pc.match_substring(vocab, t, ignore_case=True)
@@ -883,10 +998,7 @@ class SegmentWorker:
                 matched = [u for u in matched if changes(u)]
             if not matched:
                 continue
-            got = pq.read_table(
-                _units_path(self.index_dir, w, s),
-                filters=[("term", "in", matched)],
-            )
+            got = self._file("units", w, s).read(matched, ["df", "payload"])
             dfs = got.column("df").to_numpy()
             locals_: list[np.ndarray] = [
                 decode_varint_deltas(p, int(n))
@@ -895,7 +1007,7 @@ class SegmentWorker:
             if not locals_:
                 continue
             ids = np.unique(np.concatenate(locals_))
-            stats = _load_docstats(self.index_dir, w, s)
+            stats = self._docstats[(w, s)]
             take = stats.take(pa.array(ids.astype(np.int64)))
             out_repo.extend(take.column("repo").to_pylist())
             out_path.extend(take.column("path").to_pylist())
@@ -907,21 +1019,6 @@ class SegmentWorker:
                 "doc_len": pa.array(out_dlen, pa.int64()),
             }
         )
-
-    def _unit_vocab(self, w: int, s: int):
-        key = (w, s)
-        vocab = self._unit_vocab_cache.get(key)
-        if vocab is None:
-            vocab = pq.read_table(
-                _units_path(self.index_dir, w, s), columns=["term"]
-            ).column("term").combine_chunks()
-            # bounded like the postings cache: a worker owning many
-            # segments of a huge corpus must not hold every segment's
-            # unit vocabulary resident at once
-            if len(self._unit_vocab_cache) > 16:
-                self._unit_vocab_cache.clear()
-            self._unit_vocab_cache[key] = vocab
-        return vocab
 
     def prune_stats(self, reset: bool = False) -> dict:
         """This worker process' accumulated block-max pruning counters."""
@@ -946,80 +1043,65 @@ class SegmentWorker:
                     k=k,
                     avgdl=self.avgdl,
                     min_dlen=self.min_dlen,
+                    stats=self._docstats[(w, s)],
                 )
             )
         return pa.concat_tables(tables)
 
 
 class _DfDict:
-    """Cached, file-pruned df lookups over the sorted term dictionary.
+    """Cached df lookups over the sorted term dictionary.
 
     The dictionary is written by a SORTED Dataset as N sharded parquet
     files whose term ranges partition the key space; the generic
     ``lookup_df`` opens every shard per call, which measured 1.3 s/query
     at 20M terms / 200 shards (the 10M-doc rehearsal's bottleneck #1).
-    Here each shard's footer min/max term is read ONCE; a lookup bisects
-    every term to the one or two shards that can contain it and reads
-    only those, with positive AND negative caching (the index is
-    immutable, so entries never invalidate)."""
+    Here each shard is one SortedParquet handle, opened on the first
+    lookup: its footer bounds send every term to the row groups that can
+    hold it, in at most one or two shards. Entries are cached positive
+    AND negative (the index is immutable, so they never invalidate)."""
 
     CACHE_MAX = 65536
 
     def __init__(self, dict_dir: str):
         self._dir = dict_dir
-        self._bounds: list[tuple[str, str, str]] | None = None  # (min, max, path)
+        self._shards: list[SortedParquet] | None = None
         self._cache: dict[str, int] = {}
-
-    def _load_bounds(self):
-        files = sorted(
-            os.path.join(self._dir, f)
-            for f in os.listdir(self._dir)
-            if f.endswith(".parquet")
-        )
-        bounds = []
-        for p in files:
-            md = pq.ParquetFile(p).metadata
-            mins, maxs = [], []
-            for rg in range(md.num_row_groups):
-                st = md.row_group(rg).column(0).statistics
-                mins.append(st.min)
-                maxs.append(st.max)
-            if mins:
-                bounds.append((min(mins), max(maxs), p))
-        bounds.sort()
-        self._bounds = bounds
+        # the shard handles are not safe to read from two threads at once
+        self._lock = threading.Lock()
 
     def lookup(self, terms: list[str]) -> dict[str, int]:
-        import bisect
-
-        missing = [t for t in terms if t not in self._cache]
+        # answered from values read here, never re-read from the cache,
+        # which another thread may clear meanwhile
+        df = {t: self._cache.get(t) for t in terms}
+        missing = [t for t, v in df.items() if v is None]
         if missing:
-            if self._bounds is None:
-                self._load_bounds()
-            by_file: dict[str, list[str]] = {}
-            mins = [b[0] for b in self._bounds]
-            for t in missing:
-                # candidate shards: those with min <= t; ranges partition
-                # the sorted key space, so at most the insertion-point
-                # shard (plus its left neighbor for boundary ties) applies
-                i = bisect.bisect_right(mins, t)
-                for j in (i - 1, i - 2):
-                    if 0 <= j < len(self._bounds):
-                        lo, hi, p = self._bounds[j]
-                        if lo <= t <= hi:
-                            by_file.setdefault(p, []).append(t)
+            with self._lock:
+                if self._shards is None:
+                    self._shards = [
+                        SortedParquet(os.path.join(self._dir, f), "term")
+                        for f in sorted(os.listdir(self._dir))
+                        if f.endswith(".parquet")
+                    ]
+                got = [sh.read(missing, ["term", "df"]) for sh in self._shards]
+            found = {
+                term: int(n)
+                for t in got
+                for term, n in zip(
+                    t.column("term").to_pylist(), t.column("df").to_pylist()
+                )
+            }
             if len(self._cache) > self.CACHE_MAX:
                 self._cache.clear()
-            for p, ts in by_file.items():
-                got = pq.read_table(p, filters=[("term", "in", ts)])
-                for term, df in zip(
-                    got.column("term").to_pylist(),
-                    got.column("df").to_pylist(),
-                ):
-                    self._cache[term] = int(df)
             for t in missing:
-                self._cache.setdefault(t, 0)  # negative entry
-        return {t: self._cache[t] for t in terms if self._cache.get(t, 0) > 0}
+                df[t] = self._cache[t] = found.get(t, 0)  # 0: negative entry
+        return {t: n for t, n in df.items() if n > 0}
+
+    def close(self) -> None:
+        with self._lock:
+            for sh in self._shards or []:
+                sh.close()
+            self._shards = None
 
 
 class IndexReader:
@@ -1150,15 +1232,22 @@ class IndexReader:
             for i in range(n)
         ]
 
+    def _send_specs(self, specs: list[_QuerySpec], k: int) -> list:
+        """Send one round of query specs to the persistent actor pool
+        (one ray.put, one search task per worker); returns the tasks'
+        refs, each resolving to per-segment top-k rows (RESULT_COLS)."""
+        import ray
+
+        self._ensure_workers()
+        specs_ref = ray.put(specs)
+        return [w.search.remote(specs_ref, k) for w in self._workers]
+
     def _run_specs(self, specs: list[_QuerySpec], k: int) -> pa.Table:
         """Run query specs through the persistent actor pool; returns the
         concatenated per-segment top-k rows (columns RESULT_COLS)."""
         import ray
 
-        self._ensure_workers()
-        specs_ref = ray.put(specs)
-        futs = [w.search.remote(specs_ref, k) for w in self._workers]
-        return pa.concat_tables(ray.get(futs))
+        return pa.concat_tables(ray.get(self._send_specs(specs, k)))
 
     def prune_stats(self, reset: bool = False) -> dict:
         """Aggregate block-max pruning counters across the actor pool
@@ -1233,12 +1322,14 @@ class IndexReader:
         return ray.data.from_arrow(self.search(query, k=k, **kw))
 
     def close(self):
-        """Kill the query actor pool (frees its reserved resources)."""
+        """Kill the query actor pool (frees its reserved resources) and
+        close the dictionary's file handles."""
         import ray
 
         for w in self._workers or []:
             ray.kill(w)
         self._workers = None
+        self._df_dict.close()
 
     def search(self, query: str, k: int = 10,
                filters: dict[str, str] | None = None,
@@ -1369,23 +1460,6 @@ class IndexReader:
         return results
 
 
-def _empty_postings() -> pa.Table:
-    return pa.table(
-        {
-            "wave": pa.array([], pa.int32()),
-            "subshard": pa.array([], pa.int32()),
-            "term": pa.array([], pa.string()),
-            "df": pa.array([], pa.int64()),
-            "max_tf": pa.array([], pa.int32()),
-            "payload": pa.array([], pa.binary()),
-            "tf_bits": pa.array([], pa.binary()),
-            "blk_last": pa.array([], pa.binary()),
-            "blk_maxtf": pa.array([], pa.binary()),
-            "blk_mindl": pa.array([], pa.binary()),
-        }
-    )
-
-
 def _empty_result() -> pa.Table:
     return pa.table(
         {
@@ -1484,67 +1558,10 @@ class FederatedReader:
         filters: dict[str, str] | None = None,
         max_total_tokens: int | None = None,
     ) -> pa.Table:
-        import ray
-
-        try:
-            plan = create_query_plan(query)
-        except Exception:
-            # parse failures degrade to empty results, matching
-            # IndexReader.search_many
-            return _empty_result()
-        if plan.special_terms:
-            raise ValueError(
-                "special-term (quoted/excluded) queries are per-index "
-                "candidate machinery; run them on a member IndexReader"
-            )
-        if len(plan.term_indices) > MAX_QUERY_TERMS:
-            return _empty_result()
-        df_global = self.df_lookup(sorted(plan.term_indices))
-        idfs = {
-            t: idf_fn(self.n_docs, df_global[t])
-            for t in plan.term_indices
-            if df_global.get(t, 0) > 0
-        }
-        def _spec(exclude: frozenset[str]) -> _QuerySpec:
-            return _QuerySpec(
-                name="q",
-                plan=plan,
-                idfs=idfs,
-                need_fill=is_only_excluded_terms(plan.ast),
-                filters=filters or {},
-                avgdl=self.avgdl,
-                min_dlen=self.min_dlen,
-                exclude_keys=exclude or None,
-            )
-
-        futs = []
-        for r in self.readers:
-            r._ensure_workers()
-            # member scope: each segment masks only its own deletes, so
-            # an upserted (repo, path) stays visible in the delta member
-            exclude = (
-                r.tombstones
-                if self.tombstone_scope == "member"
-                else self.tombstones
-            )
-            specs_ref = ray.put([_spec(exclude)])
-            futs.extend(w.search.remote(specs_ref, k) for w in r._workers)
-        merged = pa.concat_tables(ray.get(futs))
-        idx = pc.sort_indices(
-            merged,
-            sort_keys=[
-                ("score", "descending"),
-                ("repo", "ascending"),
-                ("path", "ascending"),
-            ],
-        )[:k]
-        top = merged.take(idx)
-        if max_total_tokens is not None:
-            cum = np.cumsum(top.column("doc_len").to_numpy())
-            top = top.slice(
-                0, int(np.searchsorted(cum, max_total_tokens, "right"))
-            )
-        return _finalize(top)
+        return self.search_many(
+            {"q": query}, k, filters={"q": filters or {}},
+            max_total_tokens=max_total_tokens,
+        )["q"]
 
     def search_many(
         self,
@@ -1552,16 +1569,24 @@ class FederatedReader:
         k: int = 10,
         filters: dict[str, dict[str, str]] | None = None,
         max_total_tokens: int | None = None,
+        exact: bool = False,
+        exclude_filenames: bool = False,
     ) -> dict[str, pa.Table]:
-        """Batched federated search: every query's spec ships to every
-        member's actor pool in ONE ray round (one ray.put per member,
-        one task per worker), so an n-query batch pays the same number
-        of round trips as a single query. Same scope as search():
-        boolean/BM25 with field filters; special-term queries raise
-        (per-index machinery); per-query results are bit-identical to
-        calling search() per query."""
+        """Batched federated search, IndexReader.search_many-compatible:
+        every query's spec ships to each member's actor pool in ONE
+        round (``_send_specs``: one ray.put, one task per worker), all
+        members' rounds in flight together, so an n-query batch pays the
+        same number of round trips as a single query. Scope: boolean/BM25
+        with field filters; per-index machinery — special terms, exact
+        mode, content-only scan — raises. Per-query results are
+        bit-identical to search()."""
         import ray
 
+        if exact or exclude_filenames:
+            raise ValueError(
+                "exact / exclude_filenames are per-index scan machinery; "
+                "run them on a member IndexReader"
+            )
         filters = filters or {}
         results: dict[str, pa.Table] = {}
         named_plans = {}
@@ -1605,16 +1630,16 @@ class FederatedReader:
 
         futs = []
         for r in self.readers:
-            r._ensure_workers()
+            # member scope: each segment masks only its own deletes, so
+            # an upserted (repo, path) stays visible in the delta member
             exclude = (
                 r.tombstones
                 if self.tombstone_scope == "member"
                 else self.tombstones
             )
-            specs_ref = ray.put(
-                [mkspec(n, p, exclude) for n, p in named_plans.items()]
+            futs += r._send_specs(
+                [mkspec(n, p, exclude) for n, p in named_plans.items()], k
             )
-            futs.extend(w.search.remote(specs_ref, k) for w in r._workers)
         merged = pa.concat_tables(ray.get(futs))
         for name in named_plans:
             use = merged.filter(pc.equal(merged.column("query"), name))
@@ -1670,34 +1695,6 @@ class FederatedReader:
         }
         out["path"] = "index"
         return out
-
-    def search_many(
-        self,
-        queries: dict[str, str],
-        k: int = 10,
-        filters: dict[str, dict[str, str]] | None = None,
-        max_total_tokens: int | None = None,
-        exact: bool = False,
-        exclude_filenames: bool = False,
-    ) -> dict[str, pa.Table]:
-        """IndexReader.search_many-compatible surface for the federated
-        scope (standard boolean/BM25 queries; per-index machinery —
-        special terms, exact mode, content-only scan — raises)."""
-        if exact or exclude_filenames:
-            raise ValueError(
-                "exact / exclude_filenames are per-index scan machinery; "
-                "run them on a member IndexReader"
-            )
-        filters = filters or {}
-        return {
-            name: self.search(
-                q,
-                k=k,
-                filters=filters.get(name),
-                max_total_tokens=max_total_tokens,
-            )
-            for name, q in queries.items()
-        }
 
     def close(self):
         for r in self.readers:

@@ -111,9 +111,12 @@ def test_federated_parse_failure_degrades(ray_session, federation):
         fed.close()
 
 
-def test_federated_search_many_matches_per_query(ray_session, federation):
+def test_federated_search_many_matches_per_query(
+    ray_session, federation, monkeypatch
+):
     """Batched federated search must be bit-identical per query to both
-    the one-at-a-time federated path and the union-index batch path."""
+    the one-at-a-time federated path and the union-index batch path,
+    and a batch of n queries makes one actor-pool round per member."""
     from probe_ray.search.searcher import FederatedReader, IndexReader
 
     (a, b), union_dir = federation
@@ -121,7 +124,17 @@ def test_federated_search_many_matches_per_query(ray_session, federation):
     union = IndexReader(union_dir)
     try:
         named = {f"q{i}": q for i, q in enumerate(QUERIES)}
+        rounds: list[int] = []
+        send_specs = IndexReader._send_specs
+
+        def counting(self, specs, k):
+            rounds.append(len(specs))
+            return send_specs(self, specs, k)
+
+        monkeypatch.setattr(IndexReader, "_send_specs", counting)
         batch = fed.search_many(named, k=10)
+        monkeypatch.undo()
+        assert rounds == [len(named)] * len(fed.readers)
         ubatch = union.search_many(named, k=10)
         for name, q in named.items():
             assert batch[name].equals(fed.search(q, k=10)), name

@@ -90,6 +90,44 @@ def test_nested_out_dir_resume_excludes_own_output(
         assert ra.select(cols).equals(rb.select(cols)), q
 
 
+def test_symlinked_input_resume_excludes_own_output(
+    ray_session, tmp_path_factory
+):
+    """The input reaches out_dir through a symlink (the input path is a
+    link to the corpus dir that holds out_dir): a resumed build must
+    still recognise its own partial output and not index it."""
+    from probe_ray.data.synth import write_corpus
+    from probe_ray.index.build import IndexConfig, build_index, list_fragments
+    from probe_ray.search.searcher import IndexReader
+
+    corpus = str(tmp_path_factory.mktemp("link_corpus"))
+    write_corpus(corpus, 200, num_files=3)
+    cfg = IndexConfig(num_waves=2, subshards=2)
+    clean = str(tmp_path_factory.mktemp("link_clean"))
+    build_index([corpus], clean, cfg)
+
+    link = str(tmp_path_factory.mktemp("link_dir")) + "/corpus"
+    os.symlink(corpus, link)
+    out = os.path.join(corpus, "idx")
+    with pytest.raises(RuntimeError):
+        build_index([link], out, cfg, fail_after_wave=1)
+    # the partial output is visible through the link as parquet fragments
+    assert any("/idx/" in f for f in list_fragments([link]))
+    build_index([link], out, cfg)  # resume
+
+    ra, rb = IndexReader(clean), IndexReader(out)
+    try:
+        assert rb.n_docs == ra.n_docs
+        for q in ("error AND handling", "+api +process load"):
+            cols = ["rank", "score", "repo", "path"]
+            assert ra.search(q, k=10).select(cols).equals(
+                rb.search(q, k=10).select(cols)
+            ), q
+    finally:
+        ra.close()
+        rb.close()
+
+
 def test_resumed_search_identical(clean_and_crashed):
     from probe_ray.search.searcher import IndexReader
 

@@ -28,6 +28,44 @@ def test_federated_search_op(ray_session):
     assert t.equals(fts.fts_federated_search(SF))
 
 
+def test_federated_fragment_without_marker_is_rewritten(ray_session):
+    """A shard fragment left without its _done marker (a write_parquet
+    cut short) is rewritten, and its member index rebuilt, instead of
+    being served as complete."""
+    import glob
+    import os
+    import shutil
+
+    import pyarrow.parquet as pq
+
+    from probe_ray.data.synth import CORPUS_VERSION
+    from probe_ray.ops import fts
+
+    want = fts.fts_federated_search(SF)
+    fts.close_readers()
+    cache = fts._cache_dir(SF)
+    frag = os.path.join(cache, f"fed_corpus0_v{CORPUS_VERSION}")
+    whole = pq.read_table(frag)
+    shutil.rmtree(frag)
+    shutil.rmtree(os.path.join(cache, f"fed_m0_v{CORPUS_VERSION}"))
+    os.makedirs(frag)
+    pq.write_table(whole.slice(0, whole.num_rows // 2), os.path.join(frag, "p.parquet"))
+    assert fts.fts_federated_search(SF).equals(want)
+    assert os.path.exists(os.path.join(frag, "_done"))
+    assert pq.read_table(glob.glob(os.path.join(frag, "*.parquet"))).num_rows == (
+        whole.num_rows
+    )
+
+
+@pytest.mark.parametrize("typ", [pa.string(), pa.null()])
+def test_parity_keep_passes_empty_batch(typ):
+    from probe_ray.ops.fts import _hash_parity_keep
+
+    empty = pa.table({"repo": pa.array([], typ), "path": pa.array([], typ)})
+    for part in (0, 1):
+        assert _hash_parity_keep(empty, part).equals(empty)
+
+
 def test_upsert_lifecycle_op(ray_session):
     from probe_ray.ops import fts
 
