@@ -11,7 +11,8 @@ replaces that with an exact two-sided split:
 AFFECTED docs — docs whose tokenization under the query's special-term
 set can differ from default. A special term only alters tokenization
 where a whole alphanumeric unit (raw token, camel part, or split
-remainder — tokenizer.py:110,117,226) lowercases to it, and every such
+remainder — tokenizer.py split_camel_case and
+split_compound_word_for_filtering) lowercases to it, and every such
 unit is a contiguous substring of content or path. Hence
 ``match_substring(content|path, term, ignore_case=True)`` is a *sound*
 over-approximation. (TERM-postings-based discovery would NOT be sound:
@@ -53,9 +54,13 @@ Scale shape: one column-pruned streaming pass running a C++ substring
 kernel replaces corpus-wide Python re-tokenization (orders of magnitude
 per-byte cheaper), two of the scan path's three pipeline barriers
 disappear, and the index query itself is answered by the persistent
-actor pool in milliseconds. Worst case — a special term that matches
-most of the corpus (e.g. a quoted stop word) — falls back to the scan
-path, bounded by SCAN_FALLBACK_MIN / SCAN_FALLBACK_FRAC.
+actor pool in milliseconds. Re-tokenizing a candidate under the query
+context costs about one default tokenization: tokenize() re-expands
+only the raw tokens whose lowercase holds a special term and takes all
+others from its cached default expansion, so the candidate stage is
+mostly the path-IN read of the candidates' rows. Worst case — a special
+term that matches most of the corpus (e.g. a quoted stop word) — falls
+back to the scan path, bounded by SCAN_FALLBACK_MIN / SCAN_FALLBACK_FRAC.
 """
 
 from __future__ import annotations
@@ -97,9 +102,12 @@ SCAN_FALLBACK_FRAC = 0.75
 # context can be reused verbatim across calls. This is the dominant
 # cost of a REPEATED special-term query — the agent/MCP usage shape,
 # where the same quoted/excluded queries recur against one warm reader.
-# Entries are keyed by (full special set, keyword tuple) because the
-# stage's tf columns are keyword-positional. Oversized candidate sets
-# are not cached (recomputing beats pinning tens of MB per entry).
+# Entries are keyed by (full special set, that context's own sorted
+# keywords) and hold one tf column pair per own keyword, named by the
+# keyword, so a context hits whether it comes alone or inside any
+# search_many batch. The LRU and its lock are IndexReader fields.
+# Oversized candidate sets are not cached (recomputing beats pinning
+# tens of MB per entry).
 _CTX_CACHE_MAX = 16
 _CTX_CACHE_MAX_ROWS = 65_536
 
@@ -133,10 +141,14 @@ def _fallback_threshold(n_docs: int) -> float:
 _UNIT_RE = re.compile(r"[^\W_]+\Z", re.UNICODE)
 
 
+_CAND_COLS = ["ctx", "repo", "path", "commit", "lang", "sha256", "d_dlen", "c_dlen"]
+
+
 class _CandidateStage:
     """map_batches stage: substring-prefilter, then double-tokenize only
     the matching rows. Emits one row per (candidate doc, ctx) with
-    default/ctx doc_len and per-keyword tf under both tokenizations."""
+    default/ctx doc_len and, per keyword t, tf under both tokenizations
+    in columns ``d_tf:t`` / ``c_tf:t``."""
 
     def __init__(self, ctxs: list[tuple[int, frozenset, list[str]]], keywords: list[str]):
         self.ctxs = ctxs  # (ci, full special set, active alnum specials)
@@ -154,15 +166,15 @@ class _CandidateStage:
             "d_dlen": pa.array(out["d_dlen"], pa.int64()),
             "c_dlen": pa.array(out["c_dlen"], pa.int64()),
         }
-        for j in range(len(self.keywords)):
-            tbl[f"d_tf_{j}"] = pa.array(d_tf[j], pa.int32())
-            tbl[f"c_tf_{j}"] = pa.array(c_tf[j], pa.int32())
+        for j, t in enumerate(self.keywords):
+            tbl[f"d_tf:{t}"] = pa.array(d_tf[j], pa.int32())
+            tbl[f"c_tf:{t}"] = pa.array(c_tf[j], pa.int32())
         return pa.table(tbl)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         content = batch.column("content")
         path = batch.column("path")
-        out = {c: [] for c in ("ctx", "repo", "path", "commit", "lang", "sha256", "d_dlen", "c_dlen")}
+        out = {c: [] for c in _CAND_COLS}
         nk = len(self.keywords)
         d_tf: list[list[int]] = [[] for _ in range(nk)]
         c_tf: list[list[int]] = [[] for _ in range(nk)]
@@ -259,10 +271,12 @@ def hybrid_search_many(
     # group queries by tokenization context (= their special-term set)
     ctx_of: dict[frozenset, int] = {}
     ctx_specs: list[tuple[int, frozenset, list[str]]] = []
+    ctx_kws: list[set[str]] = []  # per context: its queries' keywords
     per_query: list[tuple[str, QueryPlan, int]] = []
     for name, (_q, plan) in queries.items():
         sp = plan.special_terms
         if sp not in ctx_of:
+            ctx_kws.append(set())
             ci = len(ctx_of)
             ctx_of[sp] = ci
             # inactive specials need no candidates: non-unit terms
@@ -278,9 +292,10 @@ def hybrid_search_many(
             )
             ctx_specs.append((ci, sp, active))
         per_query.append((name, plan, ctx_of[sp]))
+        ctx_kws[ctx_of[sp]].update(plan.term_indices)
+    ctx_key = [(sp, tuple(sorted(ctx_kws[ci]))) for ci, sp, _ in ctx_specs]
 
-    keywords = sorted({t for _, plan, _ in per_query for t in plan.term_indices})
-    kw_pos = {t: j for j, t in enumerate(keywords)}
+    keywords = sorted(set().union(*ctx_kws))
 
     n_docs = reader.n_docs
     n_tokens = int(reader.manifest.get("n_tokens", 0))
@@ -301,18 +316,13 @@ def hybrid_search_many(
         )
 
     use_cache = _cache_enabled()
-    cache: OrderedDict = reader.__dict__.setdefault(
-        "_hybrid_ctx_cache", OrderedDict()
-    )
+    cache: OrderedDict = reader._hybrid_ctx_cache
     # One reader serves concurrent threads (the MCP/agent shape): guard
     # the check→move_to_end→read / store→evict sequences, which are not
     # atomic as a group — an eviction between them raises KeyError. Two
     # threads missing the same key both compute and store bit-equal
     # tables; that duplicate work is benign.
-    cache_lock: threading.Lock = reader.__dict__.setdefault(
-        "_hybrid_ctx_lock", threading.Lock()
-    )
-    kw_key = tuple(keywords)
+    cache_lock: threading.Lock = reader._hybrid_ctx_lock
     ctx_sub: dict[int, pa.Table | None] = {}
     pending: list[tuple[int, frozenset, list[str]]] = []
     with cache_lock:
@@ -320,7 +330,7 @@ def hybrid_search_many(
             if not active:
                 ctx_sub[ci] = None
                 continue
-            key = (sp, kw_key)
+            key = ctx_key[ci]
             if use_cache and key in cache:
                 cache.move_to_end(key)
                 ctx_sub[ci] = cache[key]
@@ -329,7 +339,9 @@ def hybrid_search_many(
 
     cand_tbl = None
     if pending:
-        stage = _CandidateStage(pending, keywords)
+        stage = _CandidateStage(
+            pending, sorted(set().union(*(ctx_kws[ci] for ci, _, _ in pending)))
+        )
         read_cols = ["repo", "path", "commit", "lang", "content"]
         ds = None
         cand_bs = 1024
@@ -413,16 +425,21 @@ def hybrid_search_many(
             if parts:
                 cand_tbl = pa.concat_tables(parts)
 
-    # split the freshly computed contexts out of cand_tbl and cache them
-    for ci, sp, _active in pending:
+    # split the freshly computed contexts out of cand_tbl, keep each
+    # one's own keyword columns and cache them
+    for ci, _sp, _active in pending:
         sub = None
         if cand_tbl is not None:
             sub = cand_tbl.filter(pc.equal(cand_tbl.column("ctx"), ci))
-            sub = sub.combine_chunks() if sub.num_rows else None
+            own = [f"{c}:{t}" for t in ctx_key[ci][1] for c in ("d_tf", "c_tf")]
+            if sub.num_rows:
+                sub = sub.select(_CAND_COLS + own).combine_chunks()
+            else:
+                sub = None
         ctx_sub[ci] = sub
         if use_cache and (sub is None or sub.num_rows <= _CTX_CACHE_MAX_ROWS):
             with cache_lock:
-                cache[(sp, kw_key)] = sub
+                cache[ctx_key[ci]] = sub
                 while len(cache) > _CTX_CACHE_MAX:
                     cache.popitem(last=False)
 
@@ -442,12 +459,12 @@ def hybrid_search_many(
             "d_dlen": d_dlen,
             "c_dlen": c_dlen,
             "d_tf": {
-                t: sub.column(f"d_tf_{j}").to_numpy().astype(np.int64)
-                for t, j in kw_pos.items()
+                t: sub.column(f"d_tf:{t}").to_numpy().astype(np.int64)
+                for t in ctx_kws[ci]
             },
             "c_tf": {
-                t: sub.column(f"c_tf_{j}").to_numpy().astype(np.int64)
-                for t, j in kw_pos.items()
+                t: sub.column(f"c_tf:{t}").to_numpy().astype(np.int64)
+                for t in ctx_kws[ci]
             },
             "exclude": frozenset(
                 f"{r}\x00{p}" for r, p in zip(repos, paths)

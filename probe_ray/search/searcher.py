@@ -1126,6 +1126,9 @@ class IndexReader:
 
         self.tombstones: frozenset[str] = load_tombstones(index_dir)
         self._tombstone_value_set = None
+        # hybrid.py's per-context candidate tables (an LRU) and its lock
+        self._hybrid_ctx_cache: OrderedDict = OrderedDict()
+        self._hybrid_ctx_lock = threading.Lock()
 
     def tombstone_value_set(self):
         """The tombstone keys as a sorted pa.Array, built ONCE per reader

@@ -20,6 +20,14 @@ tokenization.rs:1929-1948), this implementation fixes the declaration order
 of term_exceptions.rs:6-62, which is deterministic and covers all pinned
 fixtures.
 
+Special terms are consulted only where a lowercased piece of a raw token
+(the token, its rest after a special-case prefix, a camel or compound part)
+equals one, and each such piece is a span of the token's lowercase once
+final ς is folded to σ. So tokenize() re-expands under the special set only
+the tokens whose lowercase contains a special term; every other token,
+negated texts included, comes from the one cached default expansion (pinned
+per token and per text by tests/test_properties.py).
+
 TF consequence (SURVEY H1): output is deduplicated, first-appearance order;
 document tokens for ranking = tokenize(content) ++ tokenize(path), so term
 frequency per document is in {0, 1, 2}.
@@ -45,15 +53,12 @@ from .tables import (
 
 _EMPTY: frozenset[str] = frozenset()
 
-# Numbers 0-10 are stop words (tokenization.rs:2007-2016).
-_NUMBER_STOP = frozenset(str(i) for i in range(11))
-
 
 def is_stop_word(word: str) -> bool:
+    # numbers 0-10 are stop words (tokenization.rs:2007-2016)
     return (
         word in ENGLISH_STOP_WORDS
         or word in PROGRAMMING_STOP_WORDS
-        or word in _NUMBER_STOP
         or (word.isdigit() and _as_small_int(word))
     )
 
@@ -122,15 +127,13 @@ def split_camel_case(
         for term in EXCEPTION_TERMS:
             if term in token and term != token:
                 parts = token.split(term)
-                if len(parts) > 1:
-                    result: list[str] = []
-                    for i, part in enumerate(parts):
-                        if part:
-                            result.append(part)
-                        if i < len(parts) - 1:
-                            result.append(term)
-                    if result:
-                        return result
+                result: list[str] = []
+                for i, part in enumerate(parts):
+                    if part:
+                        result.append(part)
+                    if i < len(parts) - 1:
+                        result.append(term)
+                return result
     return list(_camel_state_machine(token))
 
 
@@ -198,59 +201,45 @@ _NON_ALNUM_TO_SPACE = str.maketrans(
 
 
 def _raw_tokens(text: str) -> tuple[list[str], set[str]]:
-    """Whitespace split, then alnum-run split; '-'-prefixed words negate.
-
-    The token list always equals ``_ALNUM_RUNS.findall(text)``: per-word
-    run concatenation equals the text-wide scan because whitespace is
-    non-alphanumeric and so always breaks a run, and a word's leading
-    '-' contributes no run of its own."""
+    """The alnum runs of ``text`` (``_ALNUM_RUNS.findall``; ASCII takes the
+    translate fast path) and, lowercased, the runs of its '-'-prefixed
+    whitespace-separated words: the negated set."""
     if text.isascii():
         tokens = text.translate(_NON_ALNUM_TO_SPACE).split()
-        if "-" not in text:
-            return tokens, set()
-        negated: set[str] = set()
-        for word in text.split():
-            if word.startswith("-"):
-                for tok in word[1:].translate(_NON_ALNUM_TO_SPACE).split():
-                    negated.add(tok.lower())
-        return tokens, negated
+    else:
+        tokens = _ALNUM_RUNS.findall(text)
     if "-" not in text:
-        return _ALNUM_RUNS.findall(text), set()
-    tokens = []
-    negated = set()
-    for word in text.split():
-        if word.startswith("-"):
-            runs = _ALNUM_RUNS.findall(word[1:])
-            for tok in runs:
-                negated.add(tok.lower())
-            tokens.extend(runs)
-        else:
-            tokens.extend(_ALNUM_RUNS.findall(word))
-    return tokens, negated
+        return tokens, set()
+    return tokens, {
+        tok.lower()
+        for word in text.split()
+        if word.startswith("-")
+        for tok in _ALNUM_RUNS.findall(word)
+    }
 
 
 @lru_cache(maxsize=524288)
-def _expand_token_default(token: str) -> tuple[tuple[str, str, bool], ...]:
-    """Per-token expansion with the default (no dynamic terms) context.
-
-    Returns (compound_part, stemmed, is_exception) triples after stop-word
-    filtering; negation filtering happens in tokenize() because it is
-    text-level state.
-    """
+def _expand_token_default(
+    token: str,
+) -> tuple[tuple[str, str, str, bool], ...]:
+    """_expand_token with no dynamic terms: the one expansion cache."""
     return _expand_token(token, _EMPTY)
 
 
 def _expand_token(
     token: str, special_terms: frozenset[str]
-) -> tuple[tuple[str, str, bool], ...]:
-    out: list[tuple[str, str, bool]] = []
+) -> tuple[tuple[str, str, str, bool], ...]:
+    """(camel_part, compound_part, stemmed, is_exception) per kept piece,
+    stop words dropped; the camel part lets tokenize() apply a text's
+    negation filter to cached expansions."""
+    out: list[tuple[str, str, str, bool]] = []
     for part in split_camel_case(token, special_terms):
         if is_stop_word(part):
             continue
         for cp in split_compound_word_for_filtering(part, special_terms):
             if is_stop_word(cp):
                 continue
-            out.append((cp, stem(cp), cp in EXCEPTION_TERMS_SET))
+            out.append((part, cp, stem(cp), cp in EXCEPTION_TERMS_SET))
     return tuple(out)
 
 
@@ -262,17 +251,34 @@ def tokenize(
 ) -> list[str]:
     """Deduplicated token list, first-appearance order (tokenize() parity).
 
+    Each distinct raw token goes through the cached default expansion;
+    only a token whose lowercase contains a special term is re-expanded
+    under ``special_terms`` (exactness: module docstring). Texts with
+    '-'-prefixed words filter the same cached expansions.
+
     ``precomputed_raw`` lets a caller that already ran ``_raw_tokens(text)``
     (the index build shares one alnum-run pass between tokenization and
     unit-posting extraction) skip the second regex pass."""
     tokens, negated = (
         precomputed_raw if precomputed_raw is not None else _raw_tokens(text)
     )
-    expand = (
-        _expand_token_default
-        if not special_terms
-        else (lambda t: _expand_token(t, special_terms))
-    )
+    expand = _expand_token_default
+    if special_terms:
+        # ς folded to σ: lower() picks final sigma by context, so a piece
+        # may lowercase Σ differently from its token. A term absent from
+        # the whole text touches none of its tokens.
+        low = text.lower().replace("ς", "σ")
+        terms = [t.replace("ς", "σ") for t in special_terms]
+        terms = [t for t in terms if t in low]
+        if terms:
+
+            def expand(token):
+                low = token.lower().replace("ς", "σ")
+                for t in terms:
+                    if t in low:
+                        return _expand_token(token, special_terms)
+                return _expand_token_default(token)
+
     seen: set[str] = set()
     result: list[str] = []
     # the output list is deduplicated, so a repeated raw token can never
@@ -281,24 +287,18 @@ def tokenize(
     tokens = dict.fromkeys(tokens)
     if negated:
         for token in tokens:
-            for part in split_camel_case(token, special_terms):
-                if is_stop_word(part) or part in negated:
+            for part, cp, stemmed, is_exc in expand(token):
+                if part in negated or cp in negated:
                     continue
-                for cp in split_compound_word_for_filtering(part, special_terms):
-                    if is_stop_word(cp) or cp in negated:
-                        continue
-                    if cp in EXCEPTION_TERMS_SET and cp not in seen:
-                        seen.add(cp)
-                        result.append(cp)
-                    stemmed = stem(cp)
-                    if stemmed in negated:
-                        continue
-                    if stemmed not in seen:
-                        seen.add(stemmed)
-                        result.append(stemmed)
+                if is_exc and cp not in seen:
+                    seen.add(cp)
+                    result.append(cp)
+                if stemmed not in negated and stemmed not in seen:
+                    seen.add(stemmed)
+                    result.append(stemmed)
         return result
     for token in tokens:
-        for cp, stemmed, is_exc in expand(token):
+        for _, cp, stemmed, is_exc in expand(token):
             if is_exc and cp not in seen:
                 seen.add(cp)
                 result.append(cp)

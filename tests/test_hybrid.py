@@ -511,3 +511,44 @@ def test_hybrid_ctx_cache_concurrent_and_eviction(edge_index, monkeypatch):
         assert len(rd._hybrid_ctx_cache) <= 1
     finally:
         rd.close()
+
+
+def test_hybrid_ctx_cache_shared_across_batch_shapes(edge_index, monkeypatch):
+    """A context's cached candidate table is keyed by its own special set
+    and its own keywords: after a solo search(q), a search_many batch
+    that holds q next to a different context computes candidates only
+    for the other context, and q's rows stay bit-equal."""
+    from probe_ray.query.bm25 import create_query_plan
+    from probe_ray.search import hybrid
+    from probe_ray.search.scan import scan_search_many
+    from probe_ray.search.searcher import IndexReader
+
+    q, other = '"whitelists" OR stream', '"happi" AND merge'
+    sp_q = create_query_plan(q).special_terms
+    sp_other = create_query_plan(other).special_terms
+    rd = IndexReader(edge_index)
+    try:
+        solo = _as_rows(rd.search(q, k=10))
+        staged: list[frozenset] = []
+        key_ctxs: list[frozenset] = []
+        orig_init = hybrid._CandidateStage.__init__
+        orig_keys = rd.special_candidate_keys
+
+        def init(self, ctxs, keywords):
+            staged.extend(sp for _, sp, _ in ctxs)
+            orig_init(self, ctxs, keywords)
+
+        def keys(terms, ctx_sets=None):
+            key_ctxs.extend(ctx_sets or [])
+            return orig_keys(terms, ctx_sets)
+
+        monkeypatch.setattr(hybrid._CandidateStage, "__init__", init)
+        monkeypatch.setattr(rd, "special_candidate_keys", keys, raising=False)
+        both = rd.search_many({"q": q, "o": other}, k=10)
+        assert staged == [sp_other]
+        assert sp_q not in key_ctxs and sp_other in key_ctxs
+        assert _as_rows(both["q"]) == solo
+        want = scan_search_many(rd.manifest["input_files"], {"o": other}, k=10)
+        assert _as_rows(both["o"]) == _as_rows(want["o"])
+    finally:
+        rd.close()

@@ -344,3 +344,263 @@ def test_strip_dup_windows_property(texts):
         assert row["clean_text"] == " ".join(
             w for w, c in zip(ws, cov) if not c
         )
+
+
+# --- special-term tokenization through the cached default expansion --------
+#
+# tokenize(text, sp) re-expands only the raw tokens whose lowercase holds a
+# special term and serves every other token, negated texts included, from
+# _expand_token_default. The oracle below is a test-local copy of the
+# tokenizer's entry points as they were before that fast path (one uncached
+# per-token expansion under sp, its own negated loop), so a fault in the
+# fast path cannot hide behind code the oracle shares with it.
+
+from probe_ray.tokenize.tables import EXCEPTION_TERMS_SET  # noqa: E402
+from probe_ray.tokenize.tokenizer import (  # noqa: E402
+    _ALNUM_RUNS,
+    _EMPTY,
+    _NON_ALNUM_TO_SPACE,
+    is_stop_word,
+    split_camel_case,
+    split_compound_word_for_filtering,
+    stem,
+)
+
+
+def _ref_raw_tokens(text):
+    if text.isascii():
+        tokens = text.translate(_NON_ALNUM_TO_SPACE).split()
+        if "-" not in text:
+            return tokens, set()
+        negated = set()
+        for word in text.split():
+            if word.startswith("-"):
+                for tok in word[1:].translate(_NON_ALNUM_TO_SPACE).split():
+                    negated.add(tok.lower())
+        return tokens, negated
+    if "-" not in text:
+        return _ALNUM_RUNS.findall(text), set()
+    tokens = []
+    negated = set()
+    for word in text.split():
+        if word.startswith("-"):
+            runs = _ALNUM_RUNS.findall(word[1:])
+            for tok in runs:
+                negated.add(tok.lower())
+            tokens.extend(runs)
+        else:
+            tokens.extend(_ALNUM_RUNS.findall(word))
+    return tokens, negated
+
+
+def _ref_expand_token(token, special_terms):
+    out = []
+    for part in split_camel_case(token, special_terms):
+        if is_stop_word(part):
+            continue
+        for cp in split_compound_word_for_filtering(part, special_terms):
+            if is_stop_word(cp):
+                continue
+            out.append((cp, stem(cp), cp in EXCEPTION_TERMS_SET))
+    return tuple(out)
+
+
+def _ref_tokenize(text, special_terms=_EMPTY):
+    tokens, negated = _ref_raw_tokens(text)
+    expand = lambda t: _ref_expand_token(t, special_terms)  # noqa: E731
+    seen = set()
+    result = []
+    tokens = dict.fromkeys(tokens)
+    if negated:
+        for token in tokens:
+            for part in split_camel_case(token, special_terms):
+                if is_stop_word(part) or part in negated:
+                    continue
+                for cp in split_compound_word_for_filtering(part, special_terms):
+                    if is_stop_word(cp) or cp in negated:
+                        continue
+                    if cp in EXCEPTION_TERMS_SET and cp not in seen:
+                        seen.add(cp)
+                        result.append(cp)
+                    stemmed = stem(cp)
+                    if stemmed in negated:
+                        continue
+                    if stemmed not in seen:
+                        seen.add(stemmed)
+                        result.append(stemmed)
+        return result
+    for token in tokens:
+        for cp, stemmed, is_exc in expand(token):
+            if is_exc and cp not in seen:
+                seen.add(cp)
+                result.append(cp)
+            if stemmed not in seen:
+                seen.add(stemmed)
+                result.append(stemmed)
+    return result
+
+
+def _ref_preprocess(text, filename, special_terms=_EMPTY):
+    tokens = _ref_tokenize(text, special_terms)
+    tokens.extend(_ref_tokenize(filename, special_terms))
+    return tokens
+
+
+def _fold(s):
+    # str.lower() writes Σ as final ς or as σ depending on its neighbours,
+    # so a camel piece can lowercase differently from the same span of its
+    # token ("oauthΣ1x" → "oauthς1x", rest after "oauth" → "σ1x")
+    return s.replace("ς", "σ")
+
+
+_sigma_chars = st.one_of(_tricky_chars, st.sampled_from("Σσς"))
+_word_pool = sorted(SPECIAL_CASE_WORDS | EXCEPTION_TERMS_SET) + [
+    "the", "get", "set", "stream", "whitelists", "happy", "0", "10", "42",
+    # compound words: one camel part, several compound parts
+    "hashmap", "arraylist", "prefilter", "tokenizer", "filesystem",
+    "databasehandler",
+]
+
+
+@st.composite
+def _camel_pieces(draw):
+    """Camel/word pieces: special-case, exception and compound words
+    (random case), stop words, digits and runs over the case-folding
+    trouble alphabet."""
+    pieces = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            w = draw(st.sampled_from(_word_pool))
+            w = draw(st.sampled_from([w, w.upper(), w.capitalize()]))
+        else:
+            w = draw(st.text(alphabet=_sigma_chars, min_size=1, max_size=5))
+        pieces.append(w)
+    return pieces
+
+
+def _special_set(draw, pieces):
+    """1-3 terms, mostly lowercased pieces / adjacent-piece joins of the
+    text (so they touch some tokens), sometimes unrelated."""
+    pool = [p.lower() for p in pieces]
+    pool += [(a + b).lower() for a, b in zip(pieces, pieces[1:])]
+    pool += [p[1:].lower() for p in pieces if len(p) > 1]
+    terms = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from(pool),
+                st.text(alphabet=_sigma_chars, min_size=1, max_size=4),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    return frozenset(t for t in terms if t)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_untouched_token_expands_as_default(data):
+    """Per token: when no special term is a span of the token's lowercase
+    (ς folded to σ), its expansion under the special set equals the cached
+    default one — the rule tokenize() relies on to skip re-expansion."""
+    from probe_ray.tokenize.tokenizer import _expand_token, _expand_token_default
+
+    pieces = data.draw(_camel_pieces())
+    token = "".join(pieces)
+    sp = _special_set(data.draw, pieces) or frozenset({"x"})
+    low = _fold(token.lower())
+    if any(_fold(t) in low for t in sp):
+        return
+    assert _expand_token(token, sp) == _expand_token_default(token), (token, sp)
+
+
+def test_final_sigma_piece_counts_as_touched():
+    """'σ1x' is not a span of 'oauthς1x' (final sigma), yet it equals the
+    lowercase of the piece after the 'oauth' prefix and so changes the
+    expansion: the touched-token test must fold ς to σ."""
+    sp = frozenset({"σ1x"})
+    assert "σ1x" not in "oauthΣ1x".lower()
+    assert tokenize("oauthΣ1x", sp) == _ref_tokenize("oauthΣ1x", sp)
+    assert tokenize("oauthΣ1x", sp) != tokenize("oauthΣ1x")
+
+
+_sep_st = st.sampled_from([" ", "  ", "\n", ".", "(", ", ", "_", "::", "-"])
+
+
+@st.composite
+def _mixed_text(draw):
+    """Words of camel pieces, some '-'-prefixed, joined by separators;
+    returns (text, all pieces)."""
+    out, all_pieces = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        pieces = draw(_camel_pieces())
+        all_pieces += pieces
+        word = "".join(pieces)
+        if draw(st.integers(0, 3)) == 0:
+            word = "-" + word
+        out.append(word + draw(_sep_st))
+    return "".join(out), all_pieces
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_tokenize_matches_uncached_reference(data):
+    """Whole text: tokenize() and preprocess_text_with_filename() equal the
+    uncached pre-fast-path reference, under an empty and a non-empty
+    special set, over texts mixing '-'-prefixed words, camelCase,
+    special-case prefixes, exception terms and non-ASCII."""
+    text, pieces = data.draw(_mixed_text())
+    path, path_pieces = data.draw(_mixed_text())
+    sp = _special_set(data.draw, pieces + path_pieces)
+    for ctx in (_EMPTY, sp):
+        assert tokenize(text, ctx) == _ref_tokenize(text, ctx), (text, ctx)
+        assert preprocess_text_with_filename(
+            text, path, ctx
+        ) == _ref_preprocess(text, path, ctx), (text, path, ctx)
+
+
+def test_special_context_reexpands_only_touched_tokens(monkeypatch):
+    """Guard for the fast path: under {term}, the uncached expansion runs
+    only for raw tokens whose lowercase contains the term, and a text with
+    '-'-prefixed words is served from the default cache rather than from a
+    second, uncached split loop."""
+    from probe_ray.tokenize import tokenizer
+
+    calls: list[str] = []
+    orig = tokenizer._expand_token
+
+    def counting(token, special_terms):
+        if special_terms:  # default-cache misses pass the empty set
+            calls.append(token)
+        return orig(token, special_terms)
+
+    monkeypatch.setattr(tokenizer, "_expand_token", counting)
+    doc = (
+        "class JWTMiddleware(BaseMiddleware):\n"
+        "    def parse(self, header): return decodeJwt(header) or jwtish\n"
+        "    # handles the OAuth2Provider and getHttpStream helpers\n"
+    )
+    for term in ("jwt", "middleware", "stream", "absent"):
+        calls.clear()
+        got = tokenize(doc, frozenset({term}))
+        raw = dict.fromkeys(tokenizer._raw_tokens(doc)[0])
+        assert calls == [t for t in raw if term in t.lower()], term
+        assert got == _ref_tokenize(doc, frozenset({term}))
+
+    # "-hashmap": camel part negated whole, its compound parts are not
+    neg = "run the tool --verbose -skipTests -hashmap getValue parseJSON -q"
+    raw = dict.fromkeys(tokenizer._raw_tokens(neg)[0])
+    assert tokenizer._raw_tokens(neg)[1]  # the negated branch runs
+    tokenize(neg)  # warm the default cache
+    info = tokenizer._expand_token_default.cache_info
+    for sp in (_EMPTY, frozenset({"value"})):
+        calls.clear()
+        hits = info().hits
+        if not sp:  # a warm negated text splits nothing anew
+            monkeypatch.setattr(tokenizer, "split_camel_case", None)
+        got = tokenize(neg, sp)
+        monkeypatch.setattr(tokenizer, "split_camel_case", split_camel_case)
+        touched = [t for t in raw if any(s in t.lower() for s in sp)]
+        assert calls == touched
+        assert info().hits - hits == len(raw) - len(touched)
+        assert got == _ref_tokenize(neg, sp)
