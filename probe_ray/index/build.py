@@ -11,14 +11,18 @@ of the reference's per-query rayon scan, search_runner.rs:215-1560):
               per batch emits PARTIAL POSTING RUNS — one row per
               (subshard, term): sorted doc-hash ids + tf bytes — and doc
               rows (subshard, doc_hash, repo, path, commit, lang, sha256,
-              doc_len)
+              doc_len, content) — content raw, as the corpus holds it
+              (never the max_content_bytes-capped text)
          -> write_parquet(tokenized/, partition_cols=["subshard"])
               the Hive-partitioned intermediate IS the exchange (shuffle
-              via storage — it is being written for resume anyway) AND the
-              wave's resume artifact; tokenize runs ONCE
+              via storage) AND the wave's resume artifact until finalize
+              is recorded; tokenize runs ONCE
        -> one raw Ray task per subshard: finalize_subshard
-              - doc rows: sort by doc_hash -> docstats file
-                (row position = dense local id)
+              - doc rows: impact order -> docstats file
+                (row position = dense local id) and, in the same row
+                order, the doc store docs/ (local, content), zstd, in
+                row groups of DOCS_ROW_GROUP — the hybrid special-term
+                path reads candidates' content from it by local id
               - partial runs: ordered merge of ALL terms' sorted runs at
                 once (one packed-key argsort over the exploded postings)
                 -> delta+varint payload + tf bitmap + block-max metadata
@@ -27,11 +31,18 @@ of the reference's per-query rayon scan, search_runner.rs:215-1560):
               (these tasks overlap the NEXT wave's tokenize Dataset job;
                each reserves cpus//16 CPUs — they are memory-bandwidth
                bound, and full-width concurrency raises wall time)
-       wave manifest {fragments, n_docs, n_tokens, per-subshard metrics,
-                      status} written atomically -> re-runs skip done waves.
+       wave manifest {fragments, engine_version, n_docs, n_tokens,
+                      per-subshard metrics, steps, status} written
+                      atomically -> re-runs skip done waves; once it
+                      records "finalized" the tokenized/ exchange is
+                      deleted (nothing reads it after that).
     -> global (term, df) dictionary sorted by term (driver-side pyarrow
        aggregate under 20M rows, Ray groupby(term) above) — row-group-
        prunable idf lookups at query time; no postings scan per query.
+
+Layout of a finished index: manifest.json, dict/, and per wave
+waves/wNNNN/wave_manifest.json plus one sub-NNNN.parquet per subshard
+in each of docstats/, postings/, units/, units_grams/ and docs/.
 
 Skew: hot terms ("return", "fn", ... appear in ~every doc) never form a
 shuffle group of their own — the shuffle key is the *subshard* (uniform by
@@ -83,6 +94,9 @@ UNIT_PREFIX = "\x00"
 # Parquet row-group size for postings files: small groups => the query
 # stage's term-filtered reads prune to a few row groups per term.
 POSTINGS_ROW_GROUP = 2048
+# Rows per row group of the per-segment doc store: a candidate read
+# decodes the content of at most this many docs per candidate.
+DOCS_ROW_GROUP = 256
 _T0 = time.time()
 
 
@@ -135,7 +149,8 @@ class TokenizePartial:
 
     One output row per (subshard, term) per batch (ids sorted by doc_hash,
     so the finalize stage's merge is an ordered merge of sorted runs), plus
-    one doc row per input document.
+    one doc row per input document carrying its raw content for the
+    segment's doc store.
     """
 
     def __init__(self, cfg: IndexConfig):
@@ -261,6 +276,7 @@ class TokenizePartial:
                 "lang": nulls_str,
                 "sha256": nulls_str,
                 "doc_len": pa.nulls(npart, pa.int32()),
+                "content": nulls_str,
             }
         )
         empty_bin = pa.array([b""] * n, pa.binary())
@@ -279,6 +295,7 @@ class TokenizePartial:
                 "lang": pa.array(langs, pa.string()),
                 "sha256": pa.array(shas, pa.string()),
                 "doc_len": pa.array(doc_lens),
+                "content": batch.column("content").cast(pa.string()),
             }
         )
         return pa.concat_tables([partial, docs])
@@ -310,6 +327,12 @@ def _units_path(out_dir: str, wave: int, subshard: int) -> str:
 def _units_grams_path(out_dir: str, wave: int, subshard: int) -> str:
     return os.path.join(
         out_dir, "waves", f"w{wave:04d}", "units_grams", f"sub-{subshard:04d}.parquet"
+    )
+
+
+def _docs_path(out_dir: str, wave: int, subshard: int) -> str:
+    return os.path.join(
+        out_dir, "waves", f"w{wave:04d}", "docs", f"sub-{subshard:04d}.parquet"
     )
 
 
@@ -347,10 +370,17 @@ def _load_docmap(out_dir: str, wave: int, subshard: int) -> np.ndarray:
     return hit
 
 
-def _write_atomic(table: pa.Table, path: str, row_group_size: int | None = None):
+def _write_atomic(
+    table: pa.Table,
+    path: str,
+    row_group_size: int | None = None,
+    compression: str = "snappy",
+):
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = path + ".tmp"
-    pq.write_table(table, tmp, row_group_size=row_group_size)
+    pq.write_table(
+        table, tmp, row_group_size=row_group_size, compression=compression
+    )
     os.replace(tmp, path)
 
 
@@ -465,6 +495,18 @@ def finalize_subshard(
             ["doc_hash", "repo", "path", "commit", "lang", "sha256", "doc_len"]
         ),
         _docstats_path(out_dir, wave, sub),
+    )
+    # doc store: same row order, so row = local id = the "local" key
+    _write_atomic(
+        pa.table(
+            {
+                "local": pa.array(np.arange(len(docs), dtype=np.int32)),
+                "content": docs.column("content"),
+            }
+        ),
+        _docs_path(out_dir, wave, sub),
+        DOCS_ROW_GROUP,
+        compression="zstd",
     )
 
     # --- postings: ordered merge of partial runs per term -----------------
@@ -620,18 +662,26 @@ def _plan_waves(
     waves (sized like the existing ones), so indexing N new files costs
     O(N), not a full rebuild.
 
-    Anything else (fragments deleted, overlapping or corrupt manifests):
-    the waves/ and dict/ trees are cleared for a full rebuild."""
+    Anything else (fragments deleted, overlapping or corrupt manifests,
+    or a wave built by another engine version — an index never mixes
+    wave formats): the waves/ and dict/ trees are cleared for a full
+    rebuild."""
     import shutil
+
+    from probe_ray import ENGINE_VERSION
 
     striped = [files[w :: cfg.num_waves] for w in range(cfg.num_waves)]
     striped = [w for w in striped if w]
     existing = _existing_wave_manifests(out_dir)
     if not existing:
         return striped
+    ok = all(
+        wm is None or wm.get("engine_version") == ENGINE_VERSION
+        for wm in existing
+    )
     # exact-resume case: recorded waves agree with striping (a wave dir
     # with no manifest yet — crash mid-tokenize — is simply rebuilt)
-    if len(existing) <= len(striped) and all(
+    if ok and len(existing) <= len(striped) and all(
         wm is None or wm.get("fragments") == striped[w]
         for w, wm in enumerate(existing)
     ):
@@ -639,8 +689,7 @@ def _plan_waves(
     # append case
     fileset = set(files)
     indexed: set[str] = set()
-    ok = True
-    for wm in existing:
+    for wm in existing if ok else []:
         frs = wm.get("fragments") if wm else None
         if (
             wm is None
@@ -794,34 +843,35 @@ def _tokenize_wave(
     """Blocking Dataset job: tokenize the wave into the Hive-partitioned
     (by subshard) intermediate — the exchange happens via storage; the
     finalize stage reads each partition independently with no second
-    in-memory all-to-all. The intermediate doubles as the resume artifact."""
+    in-memory all-to-all. The intermediate doubles as the resume artifact
+    until the wave records "finalized"; a wave that has not, and whose
+    exchange is gone, is tokenized again."""
     import ray
     import ray.data
 
+    from probe_ray import ENGINE_VERSION
+
     wdir = _wave_dir(out_dir, wave)
     wm_path = os.path.join(wdir, "wave_manifest.json")
-    wm = _read_json(wm_path) or {
-        "wave": wave,
-        "fragments": wave_files,
-        "status": "building",
-        "steps": {},
-        "units_cased": True,
-    }
-    if wm.get("fragments") != wave_files:
+    tok_dir = os.path.join(wdir, "tokenized")
+    wm = _read_json(wm_path)
+    if wm is None or wm.get("fragments") != wave_files:
         wm = {
             "wave": wave,
             "fragments": wave_files,
+            "engine_version": ENGINE_VERSION,
             "status": "building",
             "steps": {},
             "units_cased": True,
         }
     steps = wm["steps"]
+    if steps.get("finalized") != "done" and not os.path.isdir(tok_dir):
+        steps.pop("tokenized", None)  # exchange gone: tokenize again
 
     if steps.get("tokenized") != "done":
         nblocks = cfg.read_blocks or max(
             len(wave_files), int(ray.cluster_resources().get("CPU", 8)) * 2
         )
-        tok_dir = os.path.join(wdir, "tokenized")
         ds = ray.data.read_parquet(
             wave_files,
             columns=["repo", "path", "commit", "lang", "content"],
@@ -868,9 +918,13 @@ def _submit_finalize(out_dir: str, wave: int, wm: dict) -> tuple:
 
 
 def _collect_finalize(out_dir: str, wave: int, wm: dict, futs) -> None:
+    import shutil
+
     import ray
 
-    wm_path = os.path.join(_wave_dir(out_dir, wave), "wave_manifest.json")
+    wdir = _wave_dir(out_dir, wave)
+    wm_path = os.path.join(wdir, "wave_manifest.json")
+    tok_dir = os.path.join(wdir, "tokenized")
     if futs is not None:
         rows = ray.get(futs)
         _t(f"wave {wave} finalize ({len(rows)} subshards)", _T0)
@@ -897,9 +951,21 @@ def _collect_finalize(out_dir: str, wave: int, wm: dict, futs) -> None:
         secs = [float(r.get("seconds", 0.0)) for r in rows]
         wm["steps"]["finalize_task_s_max"] = round(max(secs, default=0.0), 3)
         wm["steps"]["finalize_task_s_sum"] = round(sum(secs), 3)
+        wm["steps"]["exchange_bytes"] = _dir_bytes(tok_dir)
+        wm["steps"]["docs_bytes"] = _dir_bytes(os.path.join(wdir, "docs"))
         _write_json_atomic(wm_path, wm)
+    # "finalized" is on disk: nothing reads the exchange any more
+    shutil.rmtree(tok_dir, ignore_errors=True)
     wm["status"] = "done"
     _write_json_atomic(wm_path, wm)
+
+
+def _dir_bytes(path: str) -> int:
+    return sum(
+        os.path.getsize(os.path.join(dp, f))
+        for dp, _, fs in os.walk(path)
+        for f in fs
+    )
 
 
 def _dict_dir(out_dir: str) -> str:

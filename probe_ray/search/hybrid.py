@@ -28,9 +28,11 @@ substring pass over each segment's unit vocabulary inside the
 persistent actor pool, O(vocabulary + candidates) per query instead of
 O(corpus). Pre-units indexes fall back to the original one-pass
 streaming substring scan of the corpus. Only the candidates are then
-read back (path-IN parquet predicate) and re-tokenized (default ctx +
-query ctx) for exact tf/doc_len both ways, and they are scored exactly
-on the driver (the set is small).
+read back — by segment-local id from the index's doc stores (build.py
+docs/), on the workers owning their segments; above DIRECT_CAND_ROWS
+from the corpus by path-IN predicate — and re-tokenized (default ctx +
+query ctx) for exact tf/doc_len both ways, and scored exactly on the
+driver (the set is small).
 
 UNAFFECTED docs — tokenization identical to default, so the quoted /
 excluded keyword behaves there as an ordinary index term (its tf is
@@ -57,8 +59,9 @@ disappear, and the index query itself is answered by the persistent
 actor pool in milliseconds. Re-tokenizing a candidate under the query
 context costs about one default tokenization: tokenize() re-expands
 only the raw tokens whose lowercase holds a special term and takes all
-others from its cached default expansion, so the candidate stage is
-mostly the path-IN read of the candidates' rows. Worst case — a special
+others from its cached default expansion; the fan-out reads only the
+doc-store row groups holding candidates (no path-IN corpus read), so
+its cost follows the candidates, not the corpus. Worst case — a special
 term that matches most of the corpus (e.g. a quoted stop word) — falls
 back to the scan path, bounded by SCAN_FALLBACK_MIN / SCAN_FALLBACK_FRAC.
 """
@@ -121,8 +124,8 @@ def _cache_enabled() -> bool:
     return os.environ.get("PROBE_RAY_HYBRID_CACHE", "1") != "0"
 
 # Size-aware crossover for candidate tokenization: at or below these
-# bounds the candidates are read with one driver-side pushdown scan and
-# tokenized in-process (no Dataset launch); above them the work is
+# bounds the candidates are read from the doc stores and tokenized by the
+# workers that own them (no Dataset launch); above them the work is
 # distributed. ~4k docs / 2M tokens ≈ tens of MB of text — trivially
 # driver-sized, while the distributed branch keeps the degenerate case
 # (a special term matching half the corpus) off the driver.
@@ -349,11 +352,10 @@ def hybrid_search_many(
             # Index-served candidate discovery: one substring pass over
             # each segment's unit VOCABULARY + pruned payload reads,
             # inside the persistent actor pool — per-query cost is
-            # O(unit vocabulary + candidates), not O(corpus). The corpus
-            # is then read with a path-IN predicate pushed to parquet
-            # (only candidate rows decode their content column), and
-            # _CandidateStage's exact per-ctx mask refines the path-level
-            # over-selection, so results stay bit-equal to the scan.
+            # O(unit vocabulary + candidates), not O(corpus). The
+            # candidates are then read back and _CandidateStage's exact
+            # per-ctx mask refines the selection, so results stay
+            # bit-equal to the scan.
             actives_union = sorted({s for _, _, act in pending for s in act})
             # per-ctx tokenization sets: on a units_cased index the
             # worker filters substring-matched units to those whose
@@ -371,18 +373,13 @@ def hybrid_search_many(
                 and int(pc.sum(keys.column("doc_len")).as_py() or 0)
                 <= DIRECT_CAND_TOKENS
             ):
-                # Small candidate set: pushdown-read + tokenize the
-                # candidates inside the persistent actor pool (one RPC
-                # round over warm workers). Skips the Dataset pipeline's
-                # fixed launch cost (~1-2 s) — a realistic-selectivity
-                # quoted term answers in tens of ms. Bounded by rows AND
-                # total token length so fat docs can't blow a worker
-                # heap; bigger sets take the distributed branch below.
-                direct = reader.candidate_stage_fanout(
-                    pc.unique(keys.column("path")).to_pylist(),
-                    read_cols,
-                    stage,
-                )
+                # Small candidate set: each owning worker reads its
+                # candidates from its segments' doc stores by local id
+                # and tokenizes them in place (one RPC round over warm
+                # workers, no corpus read, no Dataset launch). Bounded by
+                # rows AND total token length so fat docs can't blow a
+                # worker heap; bigger sets take the distributed branch.
+                direct = reader.candidate_stage_fanout(keys, stage)
                 if direct.num_rows:
                     cand_tbl = direct
             elif keys.num_rows:

@@ -64,6 +64,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from probe_ray.index.build import (
+    _docs_path,
     _docstats_path,
     _postings_path,
     _units_grams_path,
@@ -105,8 +106,8 @@ PRUNE_STATS = {
 }
 
 # Decoded row groups a SegmentWorker keeps across queries (postings,
-# units and unit grams of all its segments), bounded by Arrow buffer
-# bytes. A postings row group holds POSTINGS_ROW_GROUP terms.
+# units, unit grams and doc stores of all its segments), bounded by
+# Arrow buffer bytes. A postings row group holds POSTINGS_ROW_GROUP terms.
 ROW_GROUP_CACHE_BYTES = 32 << 20
 
 # Per-segment files a SegmentWorker reads by key: (path fn, sort column).
@@ -114,7 +115,10 @@ _SEGMENT_FILES = {
     "postings": (_postings_path, "term"),
     "units": (_units_path, "term"),
     "units_grams": (_units_grams_path, "gram"),
+    "docs": (_docs_path, "local"),
 }
+
+MIN_ENGINE_VERSION = 8  # oldest index a reader serves: 8 added docs/
 
 RESULT_COLS = [
     "query", "score", "repo", "path", "commit", "lang", "sha256", "doc_len",
@@ -843,10 +847,10 @@ def score_segment(
 
 class SegmentWorker:
     """Stateful query actor owning a static set of (wave, subshard)
-    segments. Docstats are held in memory; postings, units and unit
-    grams are read through one SortedParquet handle per segment file,
-    opened on first use and sharing the worker's row-group LRU
-    (ROW_GROUP_CACHE_BYTES)."""
+    segments. Docstats are held in memory; postings, units, unit grams
+    and doc stores (the hybrid path's candidate reads) go through one
+    SortedParquet handle per segment file, opened on first use and
+    sharing the worker's row-group LRU (ROW_GROUP_CACHE_BYTES)."""
 
     def __init__(self, index_dir: str, parts: list[tuple[int, int]],
                  avgdl: float, min_dlen: int):
@@ -879,20 +883,18 @@ class SegmentWorker:
     def _postings_for(self, w: int, s: int, terms: list[str]) -> pa.Table:
         return self._file("postings", w, s).read(terms)
 
-    def apply_stage_pushdown(
-        self, files: list[str], paths: list[str], columns: list[str], stage
-    ) -> pa.Table:
-        """Read the given candidate ``paths`` from the corpus parquet with
-        a path-IN pushdown filter and apply ``stage`` (a picklable batch
-        callable) to the result — the warm-actor fan-out used by the
-        hybrid special-term path for small candidate sets, where a full
-        Dataset pipeline launch would dominate the query latency."""
-        import pyarrow.dataset as pads
-
-        tbl = pads.dataset(files).to_table(
-            columns=columns, filter=pads.field("path").isin(paths)
-        )
-        return stage(tbl)
+    def candidate_stage(self, locals_by_seg: dict, stage) -> pa.Table:
+        """Apply ``stage`` (a picklable batch callable) to the given docs
+        ({(wave, subshard): distinct local ids}) of this worker's
+        segments: metadata from the docstats held here, content from
+        each segment's doc store — the hybrid path's small-set fan-out."""
+        parts = []
+        for (w, s), ids in sorted(locals_by_seg.items()):
+            ids = sorted(ids)
+            docs = self._docstats[(w, s)].take(pa.array(ids, pa.int64()))
+            content = self._file("docs", w, s).read(ids, ["content"])
+            parts.append(docs.append_column("content", content.column("content")))
+        return stage(pa.concat_tables(parts))
 
     def _matching_units(self, w: int, s: int, terms: list[str]) -> list[str]:
         """Vocabulary terms of segment (w, s) containing any query term
@@ -957,13 +959,14 @@ class SegmentWorker:
         terms: list[str],
         ctx_sets: list[frozenset] | None = None,
     ) -> pa.Table:
-        """Distinct (repo, path) rows of this worker's segments whose
-        content or path contains any of ``terms`` (lowercased alnum-only
-        special terms) as a case-insensitive substring — answered from
-        the build's unit-postings files (index/build.py UNIT_PREFIX), no
-        corpus read. Per segment: a trigram-pruned (or, fallback, full)
-        pass over the unit vocabulary (_matching_units), then a
-        term-pruned parquet read of just the matching units' payloads.
+        """Distinct docs (wave, subshard, local, repo, path, doc_len) of
+        this worker's segments whose content or path contains any of
+        ``terms`` (lowercased alnum-only special terms) as a case-
+        insensitive substring — answered from the build's unit-postings
+        files (index/build.py UNIT_PREFIX), no corpus read. Per segment:
+        a trigram-pruned (or, fallback, full) pass over the unit
+        vocabulary (_matching_units), then a term-pruned parquet read of
+        just the matching units' payloads.
 
         ``ctx_sets`` (only passed for units_cased indexes): the queries'
         special-term tokenization contexts. Units are case-preserved raw
@@ -989,36 +992,27 @@ class SegmentWorker:
                 )
             return hit
 
-        out_repo: list[str] = []
-        out_path: list[str] = []
-        out_dlen: list[int] = []
+        out: list[pa.Table] = []
         for w, s in self.parts:
             matched = self._matching_units(w, s, terms)
             if matched and ctx_sets is not None:
                 matched = [u for u in matched if changes(u)]
-            if not matched:
-                continue
+            # every segment adds a (possibly empty) typed table
             got = self._file("units", w, s).read(matched, ["df", "payload"])
             dfs = got.column("df").to_numpy()
-            locals_: list[np.ndarray] = [
+            locals_: list[np.ndarray] = [np.empty(0, np.uint64)] + [
                 decode_varint_deltas(p, int(n))
                 for p, n in zip(got.column("payload").to_pylist(), dfs)
             ]
-            if not locals_:
-                continue
-            ids = np.unique(np.concatenate(locals_))
-            stats = self._docstats[(w, s)]
-            take = stats.take(pa.array(ids.astype(np.int64)))
-            out_repo.extend(take.column("repo").to_pylist())
-            out_path.extend(take.column("path").to_pylist())
-            out_dlen.extend(take.column("doc_len").to_pylist())
-        return pa.table(
-            {
-                "repo": pa.array(out_repo, pa.string()),
-                "path": pa.array(out_path, pa.string()),
-                "doc_len": pa.array(out_dlen, pa.int64()),
-            }
-        )
+            ids = np.unique(np.concatenate(locals_)).astype(np.int32)
+            take = self._docstats[(w, s)].take(pa.array(ids))
+            out.append(pa.table({
+                "wave": np.full(len(ids), w, np.int32),
+                "subshard": np.full(len(ids), s, np.int32),
+                "local": ids,
+                **{c: take.column(c) for c in ("repo", "path", "doc_len")},
+            }))
+        return pa.concat_tables(out)
 
     def prune_stats(self, reset: bool = False) -> dict:
         """This worker process' accumulated block-max pruning counters."""
@@ -1112,6 +1106,12 @@ class IndexReader:
         self.index_dir = index_dir
         with open(os.path.join(index_dir, "manifest.json")) as f:
             self.manifest = json.load(f)
+        built = self.manifest.get("engine_version", 0)
+        if built < MIN_ENGINE_VERSION:
+            raise ValueError(
+                f"{index_dir} was built by engine {built}; this reader "
+                f"needs engine {MIN_ENGINE_VERSION} or later — rebuild it"
+            )
         self.n_docs = self.manifest["n_docs"]
         self.avgdl = self.manifest["avgdl"]
         self.min_dlen = self.manifest.get("min_dlen", 1)
@@ -1184,24 +1184,25 @@ class IndexReader:
         futs = [w.unit_candidates.remote(terms, cs) for w in self._workers]
         return pa.concat_tables(ray.get(futs))
 
-    def candidate_stage_fanout(
-        self, paths: list[str], columns: list[str], stage
-    ) -> pa.Table:
-        """Run ``stage`` over the candidate ``paths`` of the corpus via
-        the persistent actor pool: each warm worker reads a path chunk
-        with parquet pushdown and tokenizes it in place. Latency is
-        max-chunk work + one RPC round — no Dataset pipeline launch."""
+    def candidate_stage_fanout(self, keys: pa.Table, stage) -> pa.Table:
+        """Run ``stage`` over the candidate docs ``keys`` (rows of
+        special_candidate_keys) on the workers that own their segments:
+        each owning worker gets one call with its segments' local ids and
+        reads the docs from the index (SegmentWorker.candidate_stage).
+        Latency is the slowest worker's share + one RPC round — no
+        Dataset pipeline launch, no corpus read."""
         import ray
 
         self._ensure_workers()
-        # ~64 paths per chunk floor keeps tiny sets on few RPCs
-        n = max(1, min(len(self._workers), -(-len(paths) // 64)))
-        files = self.manifest["input_files"]
+        n = len(self._workers)
+        owner = {p: i % n for i, p in enumerate(self._parts())}
+        calls: dict[int, dict[tuple[int, int], list[int]]] = {}
+        for w, s, loc in zip(*(keys.column(c).to_pylist()
+                               for c in ("wave", "subshard", "local"))):
+            calls.setdefault(owner[(w, s)], {}).setdefault((w, s), []).append(loc)
         futs = [
-            self._workers[i].apply_stage_pushdown.remote(
-                files, paths[i::n], columns, stage
-            )
-            for i in range(n)
+            self._workers[i].candidate_stage.remote(segs, stage)
+            for i, segs in sorted(calls.items())
         ]
         return pa.concat_tables(ray.get(futs))
 
@@ -1281,7 +1282,7 @@ class IndexReader:
         terms, special_terms, only_excluded_fill, per-term df/idf,
         n_docs/avgdl/segments/tombstones, and for hybrid queries the
         unit-candidate count (the number the hybrid crossover sizes its
-        pushdown re-tokenize on)."""
+        candidate re-tokenize on)."""
         out: dict = {
             "query": query,
             "n_docs": self.n_docs,
