@@ -48,11 +48,14 @@ Skew: hot terms ("return", "fn", ... appear in ~every doc) never form a
 shuffle group of their own — the shuffle key is the *subshard* (uniform by
 doc hash), and a hot term is just a long pre-sorted run per input batch,
 merged vectorized. This is the salted-partial-postings design with
-salt = source batch: partial aggregation happens inside map_batches (runs
-deduplicate the term string per batch and pre-sort ids), and the single
-groupby performs the ordered merge. Any one group's size is bounded by
-wave_bytes / subshards — both knobs in IndexConfig, scaled so a group fits
-a worker's heap at 100 TB (more waves = less memory, same total work).
+salt = source batch: partial aggregation happens inside map_batches, as
+one sort per batch rather than a per-key hash — the batch's (doc, term)
+keys are dictionary-encoded into dense ranks, packed with subshard and
+doc position into int64s, and one np.unique yields every run at once (the
+term string stored once per run, ids pre-sorted, tf as the count). The
+single groupby performs the ordered merge. Any one group's size is bounded
+by wave_bytes / subshards — both knobs in IndexConfig, scaled so a group
+fits a worker's heap at 100 TB (more waves = less memory, same total work).
 
 Doc ids: doc_hash = first 8 bytes of sha256(repo NUL path) masked to 63
 bits; dense local id = rank of doc_hash within its (wave, subshard). Final
@@ -67,7 +70,6 @@ import hashlib
 import json
 import os
 import time
-from collections import Counter
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -75,11 +77,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from probe_ray.tokenize.tokenizer import (
-    _ALNUM_RUNS,
-    _raw_tokens,
-    tokenize,
-)
+from probe_ray.tokenize.tokenizer import _raw_tokens, tokenize
 from .codec import block_meta_multi, encode_varint_deltas_multi, pack_tf_multi
 
 # Terms prefixed with this byte in the partial-run stream are UNIT
@@ -97,17 +95,6 @@ POSTINGS_ROW_GROUP = 2048
 # Rows per row group of the per-segment doc store: a candidate read
 # decodes the content of at most this many docs per candidate.
 DOCS_ROW_GROUP = 256
-_T0 = time.time()
-
-
-def _t(msg: str, t0: float) -> float:
-    """Opt-in step timing to stderr (PROBE_RAY_TIMING=1)."""
-    now = time.time()
-    if os.environ.get("PROBE_RAY_TIMING"):
-        import sys
-
-        print(f"[build +{now - t0:6.2f}s] {msg}", file=sys.stderr, flush=True)
-    return now
 DICT_ROW_GROUP = 16384
 
 
@@ -147,10 +134,20 @@ def doc_hash64(repo: str, path: str) -> int:
 class TokenizePartial:
     """Stateless-per-batch tokenizer stage emitting partial posting runs.
 
-    One output row per (subshard, term) per batch (ids sorted by doc_hash,
-    so the finalize stage's merge is an ordered merge of sorted runs), plus
-    one doc row per input document carrying its raw content for the
-    segment's doc store.
+    One output row per (subshard, term) per batch, in (subshard, term)
+    order, with ids sorted by doc_hash (so the finalize stage's merge is an
+    ordered merge of sorted runs), plus one doc row per input document
+    carrying its raw content for the segment's doc store.
+
+    The per-doc Python loop only tokenizes: it walks the docs in doc_hash
+    order and appends each doc's tokens and distinct units to two flat
+    lists, recording the counts per doc. The runs are then built with
+    array operations over the whole batch: the keys (units prefixed with
+    UNIT_PREFIX) are dictionary-encoded and ranked by one sort of the
+    dictionary, each (doc, key) becomes one packed int64
+    (subshard, rank, doc position), and one np.unique over those yields
+    the runs in output order, each posting's tf as its count, and the run
+    boundaries; the ids/tfs columns are one buffer plus offsets each.
     """
 
     def __init__(self, cfg: IndexConfig):
@@ -164,60 +161,48 @@ class TokenizePartial:
     def __call__(self, batch: pa.Table) -> pa.Table:
         cfg = self.cfg
         if self._exclude_set is not None:
-            import pyarrow.compute as _pc
-
-            key = _pc.binary_join_element_wise(
+            key = pc.binary_join_element_wise(
                 batch.column("repo"), batch.column("path"), "\x00"
             )
             batch = batch.filter(
-                _pc.invert(_pc.is_in(key, value_set=self._exclude_set))
+                pc.invert(pc.is_in(key, value_set=self._exclude_set))
             )
         repos = batch.column("repo").to_pylist()
         paths = batch.column("path").to_pylist()
-        commits = batch.column("commit").to_pylist()
-        langs = batch.column("lang").to_pylist()
         contents = batch.column("content").to_pylist()
         n = len(repos)
 
         doc_hashes = np.fromiter(
-            (doc_hash64(repos[i], paths[i]) for i in range(n)),
+            (doc_hash64(r, p) for r, p in zip(repos, paths)),
             dtype=np.int64,
             count=n,
         )
-        # sort docs by doc_hash so per-term id runs are sorted by construction
+        subs = ((doc_hashes >> 32) % cfg.subshards).astype(np.int32)
+        # docs in doc_hash order: a doc's position is its rank in every run
         order = np.argsort(doc_hashes, kind="stable")
-
-        doc_lens = np.empty(n, dtype=np.int32)
-        shas: list[str] = []
-        runs: dict[tuple[int, str], tuple[list[int], list[int]]] = {}
-        sub_arr = np.empty(n, dtype=np.int32)
-        for j in range(n):
-            i = int(order[j])
+        terms: list[str] = []
+        units: list[str] = []
+        n_terms = np.empty(n, dtype=np.int64)
+        n_units = np.zeros(n, dtype=np.int64)
+        for j, i in enumerate(order.tolist()):
             content = contents[i]
+            # ONE alnum-run pass per string, shared between tokenization
+            # and unit extraction — _raw_tokens' token list equals
+            # _ALNUM_RUNS.findall(text) in both its branches
+            raw_c = _raw_tokens(content)
+            raw_p = _raw_tokens(paths[i])
             if (
                 cfg.max_content_bytes is not None
                 and len(content) > cfg.max_content_bytes
             ):
-                content = ""
-            # ONE alnum-run pass per string, shared between tokenization
-            # and (below) unit extraction — _raw_tokens' token list equals
-            # _ALNUM_RUNS.findall(text) in both its branches
-            raw_c = _raw_tokens(content)
-            raw_p = _raw_tokens(paths[i])
-            toks = tokenize(content, precomputed_raw=raw_c)
+                toks = []
+            else:
+                toks = tokenize(content, precomputed_raw=raw_c)
+            # content and path token lists are each deduplicated, so a
+            # term repeats at most twice: tf ∈ {1, 2}
             toks.extend(tokenize(paths[i], precomputed_raw=raw_p))
-            tf = Counter(toks)  # C-accelerated; TF∈{1,2} by construction
-            dh = int(doc_hashes[i])
-            s = (dh >> 32) % cfg.subshards
-            sub_arr[i] = s
-            doc_lens[i] = len(toks)
-            for t, f in tf.items():
-                run = runs.get((s, t))
-                if run is None:
-                    run = ([], [])
-                    runs[(s, t)] = run
-                run[0].append(dh)
-                run[1].append(f)
+            n_terms[j] = len(toks)
+            terms += toks
             if cfg.unit_postings:
                 # distinct CASE-PRESERVED alnum units of RAW content +
                 # path — raw (pre-cap), because the hybrid path's
@@ -229,46 +214,56 @@ class TokenizePartial:
                 # decides precisely whether a doc holding that unit can
                 # re-tokenize under a special-term context (hybrid.py
                 # module doc; manifest flag "units_cased")
-                if content is contents[i]:
-                    units = set(raw_c[0])
-                else:  # content was capped; units come from RAW text
-                    units = set(_ALNUM_RUNS.findall(contents[i]))
-                units.update(raw_p[0])
-                for u in units:
-                    key = (s, UNIT_PREFIX + u)
-                    run = runs.get(key)
-                    if run is None:
-                        run = ([], [])
-                        runs[key] = run
-                    run[0].append(dh)
-                    run[1].append(1)
-        for i in range(n):
-            shas.append(hashlib.sha256(contents[i].encode()).hexdigest())
+                doc_units = set(raw_c[0])
+                doc_units.update(raw_p[0])
+                units += doc_units
+                n_units[j] = len(doc_units)
+        shas = [hashlib.sha256(c.encode()).hexdigest() for c in contents]
+        doc_lens = np.empty(n, dtype=np.int32)
+        doc_lens[order] = n_terms
 
-        keys = sorted(runs.keys())
-        r_sub = np.empty(len(keys), dtype=np.int32)
-        r_term: list[str] = []
-        r_n = np.empty(len(keys), dtype=np.int64)
-        r_ids: list[bytes] = []
-        r_tfs: list[bytes] = []
-        for idx, (s, t) in enumerate(keys):
-            ids, tfs = runs[(s, t)]
-            r_sub[idx] = s
-            r_term.append(t)
-            r_n[idx] = len(ids)
-            r_ids.append(np.asarray(ids, dtype=np.uint64).tobytes())
-            r_tfs.append(np.asarray(tfs, dtype=np.uint8).tobytes())
-
-        npart = len(keys)
+        # one key per (doc, term) and (doc, unit) occurrence; rank = the
+        # key's position in sorted order (UTF-8 byte order is code-point
+        # order, so UNIT_PREFIX-keyed units rank first)
+        keys = pa.concat_arrays([
+            pa.array(terms, pa.string()),
+            pc.binary_join_element_wise(
+                UNIT_PREFIX, pa.array(units, pa.string()), ""
+            ),
+        ])
+        doc_pos = np.arange(n, dtype=np.int64)
+        pos = np.concatenate(
+            [np.repeat(doc_pos, n_terms), np.repeat(doc_pos, n_units)]
+        )
+        enc = keys.dictionary_encode()
+        by_rank = pc.sort_indices(enc.dictionary)
+        nkeys = len(by_rank)
+        rank = np.empty(nkeys, dtype=np.int64)
+        rank[by_rank.to_numpy()] = np.arange(nkeys)
+        ranked_keys = enc.dictionary.take(by_rank)
+        assert cfg.subshards * max(nkeys, 1) * max(n, 1) < 2**63, "packed key"
+        packed = (
+            subs[order][pos].astype(np.int64) * nkeys
+            + rank[enc.indices.to_numpy()]
+        ) * n + pos
+        # a (doc, term) pair seen in both content and path counts tf=2
+        packed, tf = np.unique(packed, return_counts=True)
+        run_key, pos = np.divmod(packed, max(n, 1))
+        first = np.flatnonzero(np.diff(run_key, prepend=-1))
+        bounds = np.r_[first, len(packed)].astype(np.int64)
+        assert bounds[-1] * 8 < 2**31, "ids offsets overflow int32"
+        run_sub, run_rank = np.divmod(run_key[first], max(nkeys, 1))
+        npart = len(first)
+        ids = doc_hashes[order][pos].astype(np.uint64)
         nulls_str = pa.nulls(npart, pa.string())
         partial = pa.table(
             {
-                "subshard": pa.array(r_sub),
+                "subshard": pa.array(run_sub.astype(np.int32)),
                 "is_doc": pa.array(np.zeros(npart, dtype=bool)),
-                "term": pa.array(r_term, pa.string()),
-                "n": pa.array(r_n),
-                "ids": pa.array(r_ids, pa.binary()),
-                "tfs": pa.array(r_tfs, pa.binary()),
+                "term": ranked_keys.take(pa.array(run_rank)),
+                "n": pa.array(np.diff(bounds)),
+                "ids": _binary_from(ids.view(np.uint8), bounds * 8),
+                "tfs": _binary_from(tf.astype(np.uint8), bounds),
                 "doc_hash": pa.array(np.zeros(npart, dtype=np.int64)),
                 "repo": nulls_str,
                 "path": nulls_str,
@@ -282,17 +277,17 @@ class TokenizePartial:
         empty_bin = pa.array([b""] * n, pa.binary())
         docs = pa.table(
             {
-                "subshard": pa.array(sub_arr),
+                "subshard": pa.array(subs),
                 "is_doc": pa.array(np.ones(n, dtype=bool)),
                 "term": pa.array([""] * n, pa.string()),
                 "n": pa.array(np.zeros(n, dtype=np.int64)),
                 "ids": empty_bin,
                 "tfs": empty_bin,
                 "doc_hash": pa.array(doc_hashes),
-                "repo": pa.array(repos, pa.string()),
-                "path": pa.array(paths, pa.string()),
-                "commit": pa.array(commits, pa.string()),
-                "lang": pa.array(langs, pa.string()),
+                "repo": batch.column("repo").cast(pa.string()),
+                "path": batch.column("path").cast(pa.string()),
+                "commit": batch.column("commit").cast(pa.string()),
+                "lang": batch.column("lang").cast(pa.string()),
                 "sha256": pa.array(shas, pa.string()),
                 "doc_len": pa.array(doc_lens),
                 "content": batch.column("content").cast(pa.string()),
@@ -301,9 +296,13 @@ class TokenizePartial:
         return pa.concat_tables([partial, docs])
 
 
-# --- per-worker caches (Ray reuses worker processes) -----------------------
-
-_DOCMAP_CACHE: dict[tuple[str, int, int], np.ndarray] = {}
+def _binary_from(data: np.ndarray, offsets: np.ndarray) -> pa.Array:
+    """Binary array over one contiguous uint8 buffer split at ``offsets``."""
+    return pa.Array.from_buffers(
+        pa.binary(),
+        len(offsets) - 1,
+        [None, pa.py_buffer(offsets.astype(np.int32)), pa.py_buffer(data)],
+    )
 
 
 def _docstats_path(out_dir: str, wave: int, subshard: int) -> str:
@@ -356,18 +355,6 @@ def _unit_trigram_sidecar(terms: list[str]) -> pa.Table:
             "rg": pa.array([r for _, r in rows], pa.int32()),
         }
     )
-
-
-def _load_docmap(out_dir: str, wave: int, subshard: int) -> np.ndarray:
-    key = (out_dir, wave, subshard)
-    hit = _DOCMAP_CACHE.get(key)
-    if hit is None:
-        t = pq.read_table(_docstats_path(out_dir, wave, subshard), columns=["doc_hash"])
-        hit = t.column("doc_hash").to_numpy()
-        if len(_DOCMAP_CACHE) > 64:
-            _DOCMAP_CACHE.clear()
-        _DOCMAP_CACHE[key] = hit
-    return hit
 
 
 def _write_atomic(
@@ -757,8 +744,7 @@ def build_index(
         )
     os.makedirs(out_dir, exist_ok=True)
     waves = _plan_waves(files, out_dir, cfg)
-    global _T0
-    t0 = _T0 = time.time()
+    t0 = time.time()
     done = 0
     # Pipelined waves: wave w's finalize tasks (raw Ray futures) run WHILE
     # wave w+1's tokenize Dataset job executes — the driver thread is busy
@@ -784,8 +770,9 @@ def build_index(
         if fail_after_wave is not None and done >= fail_after_wave:
             raise RuntimeError(f"injected failure after {done} waves")
 
+    t_dict = time.time()
     _build_dictionary(out_dir, len(waves))
-    _t("dictionary", _T0)
+    dictionary_s = time.time() - t_dict
 
     # Global manifest from wave manifests.
     n_docs = n_tokens = 0
@@ -822,6 +809,7 @@ def build_index(
         "num_waves": len(waves),
         "waves": wave_entries,
         "build_seconds": time.time() - t0,
+        "dictionary_s": round(dictionary_s, 3),
     }
     _write_json_atomic(os.path.join(out_dir, "manifest.json"), manifest)
     return manifest
@@ -891,7 +879,6 @@ def _tokenize_wave(
         steps["tokenized"] = "done"
         steps["tokenize_s"] = round(time.time() - t_tok, 3)
         _write_json_atomic(wm_path, wm)
-        _t(f"wave {wave} tokenize+write", _T0)
     return wm
 
 
@@ -927,7 +914,6 @@ def _collect_finalize(out_dir: str, wave: int, wm: dict, futs) -> None:
     tok_dir = os.path.join(wdir, "tokenized")
     if futs is not None:
         rows = ray.get(futs)
-        _t(f"wave {wave} finalize ({len(rows)} subshards)", _T0)
         wm["n_docs"] = int(sum(r["n_docs"] for r in rows))
         wm["n_tokens"] = int(sum(r["n_tokens"] for r in rows))
         wm["min_dlen"] = int(min((r["min_dlen"] for r in rows), default=0))

@@ -19,15 +19,6 @@ def impact(tf: np.ndarray, doc_len: np.ndarray, avgdl: float) -> np.ndarray:
     return (tf * (K1 + 1.0)) / (tf + K1 * (1.0 - B + B * (doc_len / avgdl)))
 
 
-def max_impact(max_tf: float, min_dlen: float, avgdl: float) -> float:
-    """Upper bound of impact() over docs with tf<=max_tf, doc_len>=min_dlen."""
-    if avgdl <= 0:
-        return 0.0
-    return (max_tf * (K1 + 1.0)) / (
-        max_tf + K1 * (1.0 - B + B * (min_dlen / avgdl))
-    )
-
-
 def score_ast(
     expr: Expr,
     tf_arrays: dict[str, np.ndarray],
@@ -121,29 +112,3 @@ def eval_mask(
                     a = present.get(kw)
                     mask &= a if a is not None else falses()
     return mask
-
-
-def _empty_score(expr: Expr):
-    if isinstance(expr, Term):
-        if expr.excluded:
-            return 0.0
-        if expr.required:
-            return None
-        return 0.0
-    if isinstance(expr, And):
-        l = _empty_score(expr.left)
-        if l is None:
-            return None
-        r = _empty_score(expr.right)
-        if r is None:
-            return None
-        return l + r
-    l = _empty_score(expr.left)
-    r = _empty_score(expr.right)
-    if l is None and r is None:
-        return None
-    return (l or 0.0) + (r or 0.0)
-
-
-def zero_match_included(expr: Expr) -> bool:
-    return _empty_score(expr) is not None

@@ -120,6 +120,8 @@ def test_manifest_metrics(built_index, corpus_rows):
     assert sum(w["n_docs"] for w in manifest["waves"]) == manifest["n_docs"]
     for w in manifest["waves"]:
         assert w["status"] == "done" and w["fragments"]
+    # the dictionary stage is timed into the manifest, not printed
+    assert 0 <= manifest["dictionary_s"] <= manifest["build_seconds"]
 
 
 def test_resume_skips_done_waves(ray_session, small_corpus, tmp_path):
@@ -149,6 +151,42 @@ def test_resume_skips_done_waves(ray_session, small_corpus, tmp_path):
         t1 = _postings_sorted(os.path.join(d1, "waves", w, "postings"))
         t2 = _postings_sorted(os.path.join(d2, "waves", w, "postings"))
         assert t1.equals(t2)
+
+
+def test_index_files_match_loop_tokenize(ray_session, small_corpus, tmp_path, monkeypatch):
+    """An index built through the flat-array TokenizePartial is byte-
+    identical, file for file, to one built through the per-(doc, term)
+    list loop it replaced (2 waves x 3 subshards, several batches per
+    read block, so terms carry runs from many batches)."""
+    from legacy_tokenize import legacy_tokenize_partial
+
+    from probe_ray.index import build
+
+    cfg = build.IndexConfig(num_waves=2, subshards=3, tokenize_batch_size=64)
+    new_dir, old_dir = str(tmp_path / "new"), str(tmp_path / "old")
+    build.build_index([small_corpus], new_dir, cfg)
+    monkeypatch.setattr(build, "TokenizePartial", legacy_tokenize_partial())
+    build.build_index([small_corpus], old_dir, cfg)
+
+    def index_files(root):
+        pats = [
+            os.path.join("waves", "*", sub, "*")
+            for sub in ("docstats", "postings", "units", "units_grams", "docs")
+        ] + [os.path.join("dict", "*")]
+        return sorted(
+            os.path.relpath(f, root)
+            for pat in pats
+            for f in glob.glob(os.path.join(root, pat))
+        )
+
+    files = index_files(new_dir)
+    assert files == index_files(old_dir)
+    assert len(files) == 2 * 3 * 5 + 2  # every segment file + dict + marker
+    for rel in files:
+        with open(os.path.join(new_dir, rel), "rb") as a, open(
+            os.path.join(old_dir, rel), "rb"
+        ) as b:
+            assert a.read() == b.read(), rel
 
 
 def _postings_sorted(d):

@@ -606,3 +606,94 @@ def test_special_context_reexpands_only_touched_tokens(monkeypatch):
         assert calls == touched
         assert info().hits - hits == len(raw) - len(touched)
         assert got == _ref_tokenize(neg, sp)
+
+
+# --- tokenize stage: flat-array runs == the per-(doc, term) loop ----------
+
+import pyarrow as pa  # noqa: E402
+from legacy_tokenize import legacy_tokenize_partial  # noqa: E402
+
+from probe_ray.index.build import IndexConfig, TokenizePartial  # noqa: E402
+
+_CORPUS_COLS = ("repo", "path", "commit", "lang", "content")
+_NULL_BATCH = pa.table({c: pa.nulls(0) for c in _CORPUS_COLS})
+_ONE_ROW = pa.table(
+    {
+        "repo": ["r0"],
+        "path": ["src/getUser.py"],
+        "commit": ["c0"],
+        "lang": ["en"],
+        "content": ["getUser -database ΣΟΦΙΑ σοφίας oauthΣ1x getUser"],
+    }
+)
+
+
+@st.composite
+def _tokenize_case(draw):
+    """A 0-30 row corpus batch, with repeated (repo, path) pairs, texts of
+    camel pieces over the case-folding and sigma alphabets and
+    '-'-prefixed words, sometimes a null-typed lang column; and a config
+    over subshards, unit postings, the content cap and exclusion keys."""
+    n = draw(st.integers(0, 30))
+    # texts over one small per-batch vocabulary, so runs span many docs
+    vocab = draw(
+        st.lists(
+            st.tuples(st.sampled_from(["", "-"]), _camel_pieces()).map(
+                lambda wp: wp[0] + "".join(wp[1])
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    text = st.lists(
+        st.tuples(st.sampled_from(vocab), _sep_st), max_size=12
+    ).map(lambda ws: "".join(w + sep for w, sep in ws))
+    repos = draw(st.lists(st.sampled_from(["r0", "r1"]), min_size=n, max_size=n))
+    paths = draw(
+        st.lists(
+            st.one_of(st.sampled_from(["a.py", "src/Σx.rs", "-x/y.go"]), text),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    contents = draw(
+        st.lists(st.one_of(st.just(""), text), min_size=n, max_size=n)
+    )
+    langs = (
+        pa.nulls(n)
+        if draw(st.booleans())
+        else pa.array(draw(st.lists(st.sampled_from(["en", None]), min_size=n, max_size=n)), pa.string())
+    )
+    batch = pa.table(
+        {
+            "repo": pa.array(repos, pa.string()),
+            "path": pa.array(paths, pa.string()),
+            "commit": pa.array([f"c{i % 3}" for i in range(n)], pa.string()),
+            "lang": langs,
+            "content": pa.array(contents, pa.string()),
+        }
+    )
+    hit = draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=3)) if n else set()
+    exclude = frozenset(f"{repos[i]}\x00{paths[i]}" for i in hit)
+    cfg = IndexConfig(
+        subshards=draw(st.sampled_from([1, 3, 4])),
+        unit_postings=draw(st.booleans()),
+        max_content_bytes=draw(st.one_of(st.none(), st.integers(0, 40))),
+        exclude_keys=(exclude | {"r9\x00nowhere"}) if exclude else None,
+    )
+    return batch, cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tokenize_case())
+@example(case=(_NULL_BATCH, IndexConfig()))
+@example(case=(_ONE_ROW, IndexConfig(subshards=3)))
+def test_tokenize_partial_matches_loop_reference(case):
+    """The flat-array TokenizePartial emits the partial table of the
+    per-(doc, term) list loop it replaced, bit for bit: same schema, row
+    order, ids/tfs bytes and doc rows."""
+    batch, cfg = case
+    want = legacy_tokenize_partial()(cfg)(batch)
+    got = TokenizePartial(cfg)(batch)
+    assert got.schema.equals(want.schema)
+    assert got.equals(want)
