@@ -3,4 +3,4 @@
 # Bump whenever an index-content-affecting change lands (tokenizer
 # semantics, codec layout, docstats schema): cached indexes built by an
 # older engine are rebuilt instead of served stale.
-ENGINE_VERSION = 8  # 8: per-segment doc stores (docs/), no kept exchange
+ENGINE_VERSION = 9  # 9: units/ in every segment, max_content_bytes in UTF-8 bytes

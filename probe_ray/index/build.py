@@ -81,7 +81,7 @@ from probe_ray.tokenize.tokenizer import _raw_tokens, tokenize
 from .codec import block_meta_multi, encode_varint_deltas_multi, pack_tf_multi
 
 # Terms prefixed with this byte in the partial-run stream are UNIT
-# postings: verbatim lowercased maximal-alnum-run vocabulary used by the
+# postings: verbatim case-preserved maximal-alnum-run vocabulary used by the
 # hybrid special-term path for index-served candidate generation (a
 # dynamic special term can only change a document's tokenization if it
 # is a case-insensitive substring of one of the document's alnum units —
@@ -111,15 +111,10 @@ class IndexConfig:
     # fused read->tokenize stage is capped at one task per input FILE,
     # which under-parallelizes waves with few large fragments.
     read_blocks: int | None = None
-    # Mirrors the reference's 1 MB file cap (search_runner.rs:1774) when set.
+    # Mirrors the reference's 1 MB file cap (search_runner.rs:1774) when
+    # set: a doc whose content is longer than this in UTF-8 bytes indexes
+    # only its path tokens. Its units and doc store keep the raw content.
     max_content_bytes: int | None = None
-    # Store per-doc distinct lowercased alnum-unit postings (units/ files,
-    # separate from term postings) so quoted/excluded special-term queries
-    # generate candidates from the index instead of a corpus substring
-    # scan (search/hybrid.py). Costs extra build shuffle bytes + storage;
-    # turning it off keeps old behavior (hybrid falls back to the scan
-    # prefilter).
-    unit_postings: bool = True
     # Compaction support: '{repo}\x00{path}' keys dropped at tokenize time
     # (rows never enter the index). Set by compact_index from the source
     # index's tombstones; ships once per task with the config object.
@@ -183,7 +178,7 @@ class TokenizePartial:
         terms: list[str] = []
         units: list[str] = []
         n_terms = np.empty(n, dtype=np.int64)
-        n_units = np.zeros(n, dtype=np.int64)
+        n_units = np.empty(n, dtype=np.int64)
         for j, i in enumerate(order.tolist()):
             content = contents[i]
             # ONE alnum-run pass per string, shared between tokenization
@@ -193,7 +188,7 @@ class TokenizePartial:
             raw_p = _raw_tokens(paths[i])
             if (
                 cfg.max_content_bytes is not None
-                and len(content) > cfg.max_content_bytes
+                and len(content.encode("utf-8")) > cfg.max_content_bytes
             ):
                 toks = []
             else:
@@ -203,21 +198,18 @@ class TokenizePartial:
             toks.extend(tokenize(paths[i], precomputed_raw=raw_p))
             n_terms[j] = len(toks)
             terms += toks
-            if cfg.unit_postings:
-                # distinct CASE-PRESERVED alnum units of RAW content +
-                # path — raw (pre-cap), because the hybrid path's
-                # candidate mask substring-matches the raw corpus text
-                # (case-insensitively at query time). Preserving case
-                # makes tokenization-change detection EXACT per unit:
-                # the tokenizer operates on raw tokens, so
-                # _expand_token(unit, ctx) != _expand_token(unit, {})
-                # decides precisely whether a doc holding that unit can
-                # re-tokenize under a special-term context (hybrid.py
-                # module doc; manifest flag "units_cased")
-                doc_units = set(raw_c[0])
-                doc_units.update(raw_p[0])
-                units += doc_units
-                n_units[j] = len(doc_units)
+            # distinct CASE-PRESERVED alnum units of RAW content + path —
+            # raw (pre-cap), because the hybrid path's candidate mask
+            # substring-matches the raw corpus text (case-insensitively
+            # at query time). Preserving case makes tokenization-change
+            # detection EXACT per unit: the tokenizer operates on raw
+            # tokens, so _expand_token(unit, ctx) != _expand_token(unit,
+            # {}) decides precisely whether a doc holding that unit can
+            # re-tokenize under a special-term context (hybrid.py)
+            doc_units = set(raw_c[0])
+            doc_units.update(raw_p[0])
+            units += doc_units
+            n_units[j] = len(doc_units)
         shas = [hashlib.sha256(c.encode()).hexdigest() for c in contents]
         doc_lens = np.empty(n, dtype=np.int32)
         doc_lens[order] = n_terms
@@ -505,34 +497,32 @@ def finalize_subshard(
     t_order = pc.sort_indices(parts, sort_keys=[("term", "ascending")])
     parts = parts.take(t_order)
     all_terms = parts.column("term").to_pylist()
-    # unit rows (UNIT_PREFIX-keyed) sort before every real (alnum) term
+    # unit rows (UNIT_PREFIX-keyed) sort before every real (alnum) term;
+    # both unit files are written for every segment, empty ones included
     import bisect
 
     split = bisect.bisect_left(all_terms, "\x01")
-    if split:
-        u_terms, u_lens, _, u_local, _ = _merge_runs(
-            parts.slice(0, split), all_terms[:split], docmap, hash_rank
-        )
-        unit_strs = [t[len(UNIT_PREFIX):] for t in u_terms]
-        unit_tbl = pa.table(
-            {
-                "term": pa.array(unit_strs, pa.string()),
-                "df": pa.array(u_lens),
-                "payload": pa.array(
-                    encode_varint_deltas_multi(u_local, u_lens), pa.binary()
-                ),
-            }
-        )
-        _write_atomic(
-            unit_tbl, _units_path(out_dir, wave, sub), POSTINGS_ROW_GROUP
-        )
-        _write_atomic(
-            _unit_trigram_sidecar(unit_strs),
-            _units_grams_path(out_dir, wave, sub),
-            POSTINGS_ROW_GROUP,
-        )
-        parts = parts.slice(split)
-        all_terms = all_terms[split:]
+    u_terms, u_lens, _, u_local, _ = _merge_runs(
+        parts.slice(0, split), all_terms[:split], docmap, hash_rank
+    )
+    unit_strs = [t[len(UNIT_PREFIX):] for t in u_terms]
+    unit_tbl = pa.table(
+        {
+            "term": pa.array(unit_strs, pa.string()),
+            "df": pa.array(u_lens, pa.int64()),
+            "payload": pa.array(
+                encode_varint_deltas_multi(u_local, u_lens), pa.binary()
+            ),
+        }
+    )
+    _write_atomic(unit_tbl, _units_path(out_dir, wave, sub), POSTINGS_ROW_GROUP)
+    _write_atomic(
+        _unit_trigram_sidecar(unit_strs),
+        _units_grams_path(out_dir, wave, sub),
+        POSTINGS_ROW_GROUP,
+    )
+    parts = parts.slice(split)
+    all_terms = all_terms[split:]
 
     uniq_terms, term_lens, term_starts, local, sorted_tfs = _merge_runs(
         parts, all_terms, docmap, hash_rank
@@ -796,10 +786,6 @@ def build_index(
     manifest = {
         "version": 2,
         "engine_version": ENGINE_VERSION,
-        # True iff EVERY wave's unit postings are case-preserved (an
-        # append onto a pre-v6 index leaves old lowercased waves — the
-        # exact tokenization-change filter must then stay off)
-        "units_cased": all(wm.get("units_cased") for wm in wave_entries),
         "input_files": files,
         "config": cfg_json,
         "n_docs": n_docs,
@@ -850,7 +836,6 @@ def _tokenize_wave(
             "engine_version": ENGINE_VERSION,
             "status": "building",
             "steps": {},
-            "units_cased": True,
         }
     steps = wm["steps"]
     if steps.get("finalized") != "done" and not os.path.isdir(tok_dir):
@@ -1070,8 +1055,8 @@ def compact_index(
     if cfg is None:
         # restore EVERY build-semantics field from the source index —
         # compaction must differ only by the dropped documents (a default
-        # here for, say, max_content_bytes or unit_postings would change
-        # what gets indexed, not just which docs)
+        # here for, say, max_content_bytes would change what gets
+        # indexed, not just which docs)
         fields = {
             f: src_cfg[f]
             for f in (
@@ -1080,7 +1065,6 @@ def compact_index(
                 "tokenize_batch_size",
                 "read_blocks",
                 "max_content_bytes",
-                "unit_postings",
             )
             if f in src_cfg
         }

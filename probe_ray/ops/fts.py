@@ -142,12 +142,14 @@ REFERENCE_QUERIES = {
     # (e.g. "JWTMiddleware") returns 0 by reference semantics and is
     # pinned in tests/test_engine_e2e.py instead of here
     "quoted_exact": '"whitelist"',
+    # two hot special terms: most of the corpus holds a unit that
+    # re-tokenizes under them, so this is the hybrid path's largest
+    # candidate fan-out (the exhaustive scan only past SCAN_FALLBACK_ABS)
     "quoted_with_negative": '"hashmap" -database',
     # realistic-selectivity DYNAMIC quoted term (a RARE corpus marker,
-    # ~0.5% of docs): candidate discovery via unit postings + warm-actor
-    # pushdown tokenize (hybrid.py DIRECT_CAND_*) — the fast path a real
-    # user's quoted identifier takes, vs quoted_with_negative's
-    # degenerate hot-term scan fallback
+    # ~0.5% of docs): candidate discovery via unit postings + a small
+    # doc-store fan-out on the warm actors — the path a real user's
+    # quoted identifier takes
     "quoted_rare_dynamic": '"karatsuba"',
     "camel_compound": "RPCStorageHandler",
     "camel_exception": "enableFirewallWhitelist",
@@ -189,7 +191,7 @@ def _reader(idx: str) -> IndexReader:
 def close_readers() -> None:
     """Kill the cached readers' actor pools, releasing their reserved
     CPUs back to Dataset jobs. Call when done querying (tests, tools) —
-    a 2-pool cache holds cpus//2 x PROBE_RAY_WORKER_CPUS CPUs."""
+    each cached pool holds up to max(2, cpus // 2) actors of 0.5 CPU."""
     for rd in _READER_CACHE.values():
         rd.close()
     _READER_CACHE.clear()

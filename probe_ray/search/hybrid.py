@@ -20,19 +20,16 @@ stem collisions — "whitelists" stems to "whitelist" — put the
 keyword's token into docs that never contain the special unit, and
 in-document negation tokens like "--flag" can suppress the marker
 stems entirely.) Candidates are discovered from the index's UNIT
-postings when present (index/build.py UNIT_PREFIX: per-doc distinct
-lowercased alnum runs; "term substring of text" == "term substring of
-some unit" because an alnum-only term cannot cross a run boundary, and
-per-codepoint str.lower() preserves substring containment) — one
-substring pass over each segment's unit vocabulary inside the
-persistent actor pool, O(vocabulary + candidates) per query instead of
-O(corpus). Pre-units indexes fall back to the original one-pass
-streaming substring scan of the corpus. Only the candidates are then
-read back — by segment-local id from the index's doc stores (build.py
-docs/), on the workers owning their segments; above DIRECT_CAND_ROWS
-from the corpus by path-IN predicate — and re-tokenized (default ctx +
-query ctx) for exact tf/doc_len both ways, and scored exactly on the
-driver (the set is small).
+postings (index/build.py UNIT_PREFIX: per-doc distinct alnum runs;
+"term substring of text" == "term substring of some unit" because an
+alnum-only term cannot cross a run boundary, and per-codepoint
+str.lower() preserves substring containment) — one substring pass over
+each segment's unit vocabulary inside the persistent actor pool,
+O(vocabulary + candidates) per query instead of O(corpus). Only the
+candidates are then read back — by segment-local id from the index's
+doc stores (build.py docs/), on the workers owning their segments — and
+re-tokenized (default ctx + query ctx) for exact tf/doc_len both ways,
+and scored exactly on the driver.
 
 UNAFFECTED docs — tokenization identical to default, so the quoted /
 excluded keyword behaves there as an ordinary index term (its tf is
@@ -46,24 +43,22 @@ integer arithmetic, from the manifest + candidate deltas::
     sum_dlen' = n_tokens + sum_C(ctx_dlen - default_dlen)
     avgdl'    = sum_dlen' / N
     df'(t)    = df_dict(t) - |{C: default tf>0}| + |{C: ctx tf>0}|
-    min_dlen' = min(manifest min_dlen, min_C ctx_dlen)   # sound, may be loose
 
 so every score is bit-equal to the exhaustive scan path
 (tests/test_hybrid.py asserts table equality against scan_search_many,
 and the engine-vs-scalar-oracle e2e suite keeps covering this route).
 
-Scale shape: one column-pruned streaming pass running a C++ substring
-kernel replaces corpus-wide Python re-tokenization (orders of magnitude
-per-byte cheaper), two of the scan path's three pipeline barriers
-disappear, and the index query itself is answered by the persistent
-actor pool in milliseconds. Re-tokenizing a candidate under the query
-context costs about one default tokenization: tokenize() re-expands
-only the raw tokens whose lowercase holds a special term and takes all
-others from its cached default expansion; the fan-out reads only the
-doc-store row groups holding candidates (no path-IN corpus read), so
-its cost follows the candidates, not the corpus. Worst case — a special
-term that matches most of the corpus (e.g. a quoted stop word) — falls
-back to the scan path, bounded by SCAN_FALLBACK_MIN / SCAN_FALLBACK_FRAC.
+Scale shape: discovery is a trigram-pruned substring pass over each
+segment's unit vocabulary, and each owning worker reads and
+re-tokenizes its candidates one doc-store row group at a time, so the
+cost follows the candidates, not the corpus, and no stage needs a CPU
+beyond those the actor pool already holds. Re-tokenizing a candidate
+under the query context costs about one default tokenization:
+tokenize() re-expands only the raw tokens whose lowercase holds a
+special term and takes all others from its cached default expansion.
+Only past SCAN_FALLBACK_ABS candidate (doc, ctx) rows (a special term
+that matches most of a large corpus, e.g. a quoted stop word) does the
+query fall back to the exhaustive scan path.
 """
 
 from __future__ import annotations
@@ -83,20 +78,10 @@ from probe_ray.search.scoring import eval_mask, score_ast
 from probe_ray.tokenize.tables import SPECIAL_CASE_WORDS
 from probe_ray.tokenize.tokenizer import preprocess_text_with_filename
 
-# Candidate-count ceiling for the hybrid path, two independent bounds:
-#   - SCAN_FALLBACK_FRAC of the corpus: the hybrid tokenizes candidates
-#     under both contexts, but the scan tokenizes the WHOLE corpus and
-#     materializes a full per-(doc,ctx) intermediate — measured at sf0.1
-#     the hybrid is ~5x faster even with large candidate sets, so only a
-#     near-degenerate special term (most of the corpus matches) makes
-#     the scan's flat cost the better shape.
-#   - SCAN_FALLBACK_ABS: driver-side candidate rows / exclusion masks
-#     stop being "small" past this regardless of corpus size.
-# SCAN_FALLBACK_FLOOR keeps tiny corpora (tests, sf0.001) on the hybrid
-# path where the fraction bound would be meaninglessly small.
-SCAN_FALLBACK_FLOOR = 1_000
+# Candidate (doc, ctx) rows above which a query falls back to the
+# exhaustive scan (scan.py): the driver holds the candidate table and
+# builds one exclusion set per context from it, so this bounds both.
 SCAN_FALLBACK_ABS = 200_000
-SCAN_FALLBACK_FRAC = 0.75
 
 # Reader-scoped LRU of per-context candidate tables. A reader's corpus
 # view is immutable after open (segments, tombstones — searcher.py
@@ -123,21 +108,6 @@ def _cache_enabled() -> bool:
 
     return os.environ.get("PROBE_RAY_HYBRID_CACHE", "1") != "0"
 
-# Size-aware crossover for candidate tokenization: at or below these
-# bounds the candidates are read from the doc stores and tokenized by the
-# workers that own them (no Dataset launch); above them the work is
-# distributed. ~4k docs / 2M tokens ≈ tens of MB of text — trivially
-# driver-sized, while the distributed branch keeps the degenerate case
-# (a special term matching half the corpus) off the driver.
-DIRECT_CAND_ROWS = 4_096
-DIRECT_CAND_TOKENS = 2_000_000
-
-
-def _fallback_threshold(n_docs: int) -> float:
-    return max(
-        SCAN_FALLBACK_FLOOR, min(SCAN_FALLBACK_ABS, SCAN_FALLBACK_FRAC * n_docs)
-    )
-
 # A special term can only match a tokenizer unit if it is one alnum run
 # (units are produced by [^\W_]+ — tokenizer.py:_ALNUM_RUNS); terms with
 # spaces/underscores/punctuation can never fire and need no candidates.
@@ -148,10 +118,12 @@ _CAND_COLS = ["ctx", "repo", "path", "commit", "lang", "sha256", "d_dlen", "c_dl
 
 
 class _CandidateStage:
-    """map_batches stage: substring-prefilter, then double-tokenize only
-    the matching rows. Emits one row per (candidate doc, ctx) with
-    default/ctx doc_len and, per keyword t, tf under both tokenizations
-    in columns ``d_tf:t`` / ``c_tf:t``."""
+    """Batch callable that the workers owning the candidates apply to
+    their doc-store reads (SegmentWorker.candidate_stage): per context,
+    substring-prefilter, then double-tokenize only the matching rows.
+    Emits one row per (candidate doc, ctx) with default/ctx doc_len and,
+    per keyword t, tf under both tokenizations in columns ``d_tf:t`` /
+    ``c_tf:t``."""
 
     def __init__(self, ctxs: list[tuple[int, frozenset, list[str]]], keywords: list[str]):
         self.ctxs = ctxs  # (ci, full special set, active alnum specials)
@@ -258,8 +230,6 @@ def hybrid_search_many(
     index search. ``reader`` is an IndexReader; ``queries`` maps name ->
     (raw query string, parsed plan). Results are bit-equal to
     scan.scan_search_many (which remains the fallback)."""
-    import ray.data
-
     from probe_ray.search.scan import scan_search_many
     from probe_ray.search.searcher import (
         _QuerySpec,
@@ -305,9 +275,8 @@ def hybrid_search_many(
     df_global = reader.df_lookup(keywords)
 
     def _scan_fallback():
-        # degenerate special term (matches much of the corpus):
-        # candidate machinery stops being "small" — exhaustive scan
-        # is the better shape. Bounded worst case.
+        # more than SCAN_FALLBACK_ABS candidate rows: the driver-side
+        # candidate table and exclusion sets would stop being small
         return scan_search_many(
             reader.manifest["input_files"],
             {name: q for name, (q, _p) in queries.items()},
@@ -345,82 +314,22 @@ def hybrid_search_many(
         stage = _CandidateStage(
             pending, sorted(set().union(*(ctx_kws[ci] for ci, _, _ in pending)))
         )
-        read_cols = ["repo", "path", "commit", "lang", "content"]
-        ds = None
-        cand_bs = 1024
-        if reader.has_units:
-            # Index-served candidate discovery: one substring pass over
-            # each segment's unit VOCABULARY + pruned payload reads,
-            # inside the persistent actor pool — per-query cost is
-            # O(unit vocabulary + candidates), not O(corpus). The
-            # candidates are then read back and _CandidateStage's exact
-            # per-ctx mask refines the selection, so results stay
-            # bit-equal to the scan.
-            actives_union = sorted({s for _, _, act in pending for s in act})
-            # per-ctx tokenization sets: on a units_cased index the
-            # worker filters substring-matched units to those whose
-            # expansion actually changes under SOME query context —
-            # exact, so dropping them cannot alter any score
-            keys = reader.special_candidate_keys(
-                actives_union, [sp for _, sp, act in pending if act]
-            )
-            # upper bound on candidate (doc, ctx) rows, known BEFORE any
-            # corpus read — the fallback decision is now free
-            if keys.num_rows * len(pending) > _fallback_threshold(n_docs):
-                return _scan_fallback()
-            if keys.num_rows and (
-                keys.num_rows <= DIRECT_CAND_ROWS
-                and int(pc.sum(keys.column("doc_len")).as_py() or 0)
-                <= DIRECT_CAND_TOKENS
-            ):
-                # Small candidate set: each owning worker reads its
-                # candidates from its segments' doc stores by local id
-                # and tokenizes them in place (one RPC round over warm
-                # workers, no corpus read, no Dataset launch). Bounded by
-                # rows AND total token length so fat docs can't blow a
-                # worker heap; bigger sets take the distributed branch.
-                direct = reader.candidate_stage_fanout(keys, stage)
-                if direct.num_rows:
-                    cand_tbl = direct
-            elif keys.num_rows:
-                import pyarrow.dataset as pads
-
-                ds = ray.data.read_parquet(
-                    reader.manifest["input_files"],
-                    columns=read_cols,
-                    filter=pads.field("path").isin(
-                        pc.unique(keys.column("path"))
-                    ),
-                )
-                # every filtered row is a candidate (the stage tokenizes
-                # all of them) — size batches so the work spreads across
-                # the cluster instead of a few 1024-row tasks
-                import ray as _ray
-
-                cpus = int(_ray.cluster_resources().get("CPU", 8))
-                cand_bs = max(
-                    32, min(1024, -(-keys.num_rows // (2 * cpus)))
-                )
-        else:
-            # pre-units index: streaming substring prefilter over the
-            # whole corpus (one vectorized C++ pass, no tokenization for
-            # non-matching rows)
-            ds = ray.data.read_parquet(
-                reader.manifest["input_files"], columns=read_cols
-            )
-        if ds is not None:
-            inter = ds.map_batches(
-                stage, batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=cand_bs,
-            ).materialize()
-            if inter.count() > _fallback_threshold(n_docs):
-                return _scan_fallback()
-            parts = [
-                pa.table(b)
-                for b in inter.iter_batches(batch_format="pyarrow")
-            ]
-            if parts:
-                cand_tbl = pa.concat_tables(parts)
+        # Index-served candidate discovery: one substring pass over each
+        # segment's unit VOCABULARY inside the persistent actor pool,
+        # keeping only the units whose expansion changes under some
+        # pending context (exact). The owning workers then read those
+        # docs from their doc stores and _CandidateStage's per-ctx mask
+        # refines the selection, so results stay bit-equal to the scan.
+        keys = reader.special_candidate_keys(
+            sorted({s for _, _, act in pending for s in act}),
+            [sp for _, sp, _ in pending],
+        )
+        # an upper bound on candidate (doc, ctx) rows, known before any
+        # doc is read
+        if keys.num_rows * len(pending) > SCAN_FALLBACK_ABS:
+            return _scan_fallback()
+        if keys.num_rows:
+            cand_tbl = reader.candidate_stage_fanout(keys, stage)
 
     # split the freshly computed contexts out of cand_tbl, keep each
     # one's own keyword columns and cache them
@@ -467,7 +376,6 @@ def hybrid_search_many(
                 f"{r}\x00{p}" for r, p in zip(repos, paths)
             ),
             "sum_delta": int(c_dlen.sum() - d_dlen.sum()),
-            "min_c_dlen": int(c_dlen.min()),
         }
 
     # per-query adjusted stats -> index specs
@@ -478,7 +386,6 @@ def hybrid_search_many(
         if cd is None:
             sum_dlen = n_tokens
             dfs = {t: df_global.get(t, 0) for t in plan.term_indices}
-            min_dl = reader.min_dlen
         else:
             sum_dlen = n_tokens + cd["sum_delta"]
             dfs = {
@@ -487,7 +394,6 @@ def hybrid_search_many(
                 + int((cd["c_tf"][t] > 0).sum())
                 for t in plan.term_indices
             }
-            min_dl = min(reader.min_dlen or cd["min_c_dlen"], cd["min_c_dlen"])
         avgdl = sum_dlen / n_docs if n_docs else 0.0
         idfs = {
             t: idf_fn(n_docs, df) for t, df in dfs.items() if df > 0
@@ -501,7 +407,6 @@ def hybrid_search_many(
                 need_fill=is_only_excluded_terms(plan.ast),
                 filters=filters.get(name, {}),
                 avgdl=avgdl,
-                min_dlen=min_dl,
                 exclude_keys=(
                     ((cd["exclude"] if cd else frozenset())
                      | reader.tombstones)

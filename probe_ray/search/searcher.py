@@ -64,6 +64,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from probe_ray.index.build import (
+    DOCS_ROW_GROUP,
     _docs_path,
     _docstats_path,
     _postings_path,
@@ -118,7 +119,7 @@ _SEGMENT_FILES = {
     "docs": (_docs_path, "local"),
 }
 
-MIN_ENGINE_VERSION = 8  # oldest index a reader serves: 8 added docs/
+MIN_ENGINE_VERSION = 9  # oldest index a reader serves: 9 has units/ everywhere
 
 RESULT_COLS = [
     "query", "score", "repo", "path", "commit", "lang", "sha256", "doc_len",
@@ -238,12 +239,11 @@ class _QuerySpec:
     idfs: dict[str, float]
     need_fill: bool
     filters: dict[str, str] = field(default_factory=dict)
-    # Hybrid special-term path (search/hybrid.py): per-query overrides of
-    # the corpus-global stats (the query ctx shifts avgdl/min_dlen), plus
-    # a doc-exclusion set ("repo\x00path") for candidates that the driver
+    # Hybrid special-term path (search/hybrid.py): a per-query override
+    # of the corpus-global avgdl (the query ctx shifts it), plus a
+    # doc-exclusion set ("repo\x00path") for candidates that the driver
     # scores exactly under the query's tokenization context.
     avgdl: float | None = None
-    min_dlen: int | None = None
     exclude_keys: frozenset[str] | None = None
 
 
@@ -293,7 +293,6 @@ def score_segment(
     specs: list[_QuerySpec],
     k: int,
     avgdl: float,
-    min_dlen: int,
     stats: pa.Table | None = None,
 ) -> pa.Table:
     """Score one (wave, subshard) segment for every query; return its
@@ -313,13 +312,7 @@ def score_segment(
     tf_bits = postings.column("tf_bits").to_pylist()
     blk_last = postings.column("blk_last").to_pylist()
     blk_maxtf = postings.column("blk_maxtf").to_pylist()
-    # per-block min doc_len (absent in pre-r5 segments -> None entries,
-    # which fall back to the segment-global min_dlen bound)
-    blk_mindl = (
-        postings.column("blk_mindl").to_pylist()
-        if "blk_mindl" in postings.column_names
-        else [None] * len(terms)
-    )
+    blk_mindl = postings.column("blk_mindl").to_pylist()
 
     decoded: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -347,7 +340,6 @@ def score_segment(
     for spec in specs:
         plan = spec.plan
         s_avgdl = spec.avgdl if spec.avgdl is not None else avgdl
-        s_min = spec.min_dlen if spec.min_dlen is not None else min_dlen
         fmask = _filter_mask(stats, spec.filters, spec.exclude_keys)
         q_terms = [t for t in plan.term_indices if t in by_term]
         required_kws: set[str] = set()
@@ -448,9 +440,7 @@ def score_segment(
         def _block_bounds():
             """(blk_lasts, blk_self, blk_mdl) for every hot term:
             per-block last doc id, idf * impact(blk_max_tf, blk_min_dlen)
-            upper bound, and the per-block min doc_len itself
-            (segment-global min_dlen fallback for pre-r5 segments
-            without the blk_mindl sidecar)."""
+            upper bound, and the per-block min doc_len itself."""
             bl: dict[str, np.ndarray] = {}
             bs: dict[str, np.ndarray] = {}
             bm: dict[str, np.ndarray] = {}
@@ -459,13 +449,9 @@ def score_segment(
                 bl[t] = np.frombuffer(blk_last[i], dtype=np.uint64)
                 maxtf_f = np.frombuffer(blk_maxtf[i], dtype=np.uint8)
                 maxtf_f = maxtf_f.astype(np.float64)
-                mdl = blk_mindl[i]
-                if mdl:
-                    mindl_f = np.maximum(
-                        np.frombuffer(mdl, dtype=np.uint32), 1
-                    ).astype(np.float64)
-                else:
-                    mindl_f = np.full(len(maxtf_f), float(s_min or 1))
+                mindl_f = np.maximum(
+                    np.frombuffer(blk_mindl[i], dtype=np.uint32), 1
+                ).astype(np.float64)
                 bm[t] = mindl_f
                 if s_avgdl <= 0:
                     bs[t] = np.zeros(len(maxtf_f))
@@ -853,11 +839,10 @@ class SegmentWorker:
     sharing the worker's row-group LRU (ROW_GROUP_CACHE_BYTES)."""
 
     def __init__(self, index_dir: str, parts: list[tuple[int, int]],
-                 avgdl: float, min_dlen: int):
+                 avgdl: float):
         self.index_dir = index_dir
         self.parts = parts
         self.avgdl = avgdl
-        self.min_dlen = min_dlen
         self._row_groups = _RowGroupLRU(ROW_GROUP_CACHE_BYTES)
         self._files: dict[tuple[str, int, int], SortedParquet] = {}
         self._docstats = {
@@ -886,15 +871,22 @@ class SegmentWorker:
     def candidate_stage(self, locals_by_seg: dict, stage) -> pa.Table:
         """Apply ``stage`` (a picklable batch callable) to the given docs
         ({(wave, subshard): distinct local ids}) of this worker's
-        segments: metadata from the docstats held here, content from
-        each segment's doc store — the hybrid path's small-set fan-out."""
+        segments and concatenate its outputs: metadata from the docstats
+        held here, content from each segment's doc store — the hybrid
+        path's candidate fan-out. ``stage`` is applied to at most
+        DOCS_ROW_GROUP docs at a time (as many as one doc-store row group
+        holds), which bounds the worker's heap whatever the candidate
+        count."""
         parts = []
         for (w, s), ids in sorted(locals_by_seg.items()):
             ids = sorted(ids)
-            docs = self._docstats[(w, s)].take(pa.array(ids, pa.int64()))
-            content = self._file("docs", w, s).read(ids, ["content"])
-            parts.append(docs.append_column("content", content.column("content")))
-        return stage(pa.concat_tables(parts))
+            stats, store = self._docstats[(w, s)], self._file("docs", w, s)
+            for i in range(0, len(ids), DOCS_ROW_GROUP):
+                chunk = ids[i : i + DOCS_ROW_GROUP]
+                docs = stats.take(pa.array(chunk, pa.int64()))
+                content = store.read(chunk, ["content"]).column("content")
+                parts.append(stage(docs.append_column("content", content)))
+        return pa.concat_tables(parts)
 
     def _matching_units(self, w: int, s: int, terms: list[str]) -> list[str]:
         """Vocabulary terms of segment (w, s) containing any query term
@@ -903,11 +895,9 @@ class SegmentWorker:
         trigrams' row-group sets is a no-false-negative candidate set,
         so only those row groups of the unit vocabulary are read and
         substring-verified — sublinear in vocabulary size. Shorter terms
-        (or a pre-sidecar index layout) fall back to a substring pass over
-        the whole vocabulary (its row groups go through the worker's
-        row-group LRU)."""
-        gpath = _units_grams_path(self.index_dir, w, s)
-        pruned = [t for t in terms if len(t) >= 3] if os.path.exists(gpath) else []
+        take a substring pass over the whole vocabulary (its row groups go
+        through the worker's row-group LRU)."""
+        pruned = [t for t in terms if len(t) >= 3]
         full = [t for t in terms if t not in pruned]
         matched: set[str] = set()
         if pruned:
@@ -964,13 +954,12 @@ class SegmentWorker:
         ``terms`` (lowercased alnum-only special terms) as a case-
         insensitive substring — answered from the build's unit-postings
         files (index/build.py UNIT_PREFIX), no corpus read. Per segment:
-        a trigram-pruned (or, fallback, full) pass over the unit
-        vocabulary (_matching_units), then a term-pruned parquet read of
-        just the matching units' payloads.
+        a trigram-pruned (or, for terms under 3 chars, full) pass over the
+        unit vocabulary (_matching_units), then a term-pruned parquet read
+        of just the matching units' payloads.
 
-        ``ctx_sets`` (only passed for units_cased indexes): the queries'
-        special-term tokenization contexts. Units are case-preserved raw
-        tokens there, so ``_expand_token(unit, ctx) != default`` decides
+        ``ctx_sets``: the queries' special-term tokenization contexts.
+        Units are case-preserved raw tokens, so ``_expand_token(unit, ctx) != default`` decides
         EXACTLY whether docs holding the unit can re-tokenize under a
         context — substring-matched units whose expansion is identical
         under every context are dropped before any payload/doc read
@@ -1036,7 +1025,6 @@ class SegmentWorker:
                     specs=specs,
                     k=k,
                     avgdl=self.avgdl,
-                    min_dlen=self.min_dlen,
                     stats=self._docstats[(w, s)],
                 )
             )
@@ -1114,10 +1102,8 @@ class IndexReader:
             )
         self.n_docs = self.manifest["n_docs"]
         self.avgdl = self.manifest["avgdl"]
-        self.min_dlen = self.manifest.get("min_dlen", 1)
         self._num_workers = num_workers
         self._workers: list | None = None
-        self._has_units: bool | None = None
         self._df_dict = _DfDict(os.path.join(index_dir, "dict"))
         # deleted (repo, path) keys — loaded once at open; masks every
         # result path (index/hybrid/scan/fill) via the exclusion-key
@@ -1145,27 +1131,6 @@ class IndexReader:
         """Cached per-term document frequencies (see _DfDict)."""
         return self._df_dict.lookup(terms)
 
-    @property
-    def has_units(self) -> bool:
-        """True iff EVERY segment has a unit-postings file (builds with
-        IndexConfig.unit_postings; an incremental append onto a pre-units
-        index leaves old waves without them — then the hybrid path must
-        keep using the corpus substring scan for candidates)."""
-        if self._has_units is None:
-            cfg = self.manifest.get("config") or {}
-            self._has_units = bool(cfg.get("unit_postings")) and all(
-                os.path.exists(_units_path(self.index_dir, w, s))
-                for w, s in self._parts()
-            )
-        return self._has_units
-
-    @property
-    def units_cased(self) -> bool:
-        """True iff every wave's unit postings are case-preserved (engine
-        v6+ builds) — the precondition for the exact per-unit
-        tokenization-change filter in unit_candidates."""
-        return bool(self.manifest.get("units_cased"))
-
     def special_candidate_keys(
         self,
         terms: list[str],
@@ -1173,15 +1138,13 @@ class IndexReader:
     ) -> pa.Table:
         """Distinct (repo, path) docs whose content/path contains any of
         the given lowercased special terms — from the unit postings via
-        the persistent actor pool (requires ``has_units``). With
-        ``ctx_sets`` on a units_cased index, only docs whose tokenization
-        can actually CHANGE under some context are returned (exact
-        per-unit filter; see SegmentWorker.unit_candidates)."""
+        the persistent actor pool. With ``ctx_sets``, only docs whose
+        tokenization can actually CHANGE under some context are returned
+        (exact per-unit filter; see SegmentWorker.unit_candidates)."""
         import ray
 
         self._ensure_workers()
-        cs = ctx_sets if self.units_cased else None
-        futs = [w.unit_candidates.remote(terms, cs) for w in self._workers]
+        futs = [w.unit_candidates.remote(terms, ctx_sets) for w in self._workers]
         return pa.concat_tables(ray.get(futs))
 
     def candidate_stage_fanout(self, keys: pa.Table, stage) -> pa.Table:
@@ -1190,7 +1153,8 @@ class IndexReader:
         each owning worker gets one call with its segments' local ids and
         reads the docs from the index (SegmentWorker.candidate_stage).
         Latency is the slowest worker's share + one RPC round — no
-        Dataset pipeline launch, no corpus read."""
+        Dataset pipeline launch, no corpus read, and no CPU needed beyond
+        those the pool already holds."""
         import ray
 
         self._ensure_workers()
@@ -1221,18 +1185,14 @@ class IndexReader:
         parts = self._parts()
         n = self._num_workers
         if n is None:
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-            n = int(os.environ.get("PROBE_RAY_QUERY_WORKERS", max(2, cpus // 2)))
+            n = max(2, int(ray.cluster_resources().get("CPU", 8)) // 2)
         n = max(1, min(n, len(parts)))
         # Fractional reservation: query actors are bursty, and a pool that
         # pins whole CPUs can starve concurrent Dataset jobs (index builds)
         # on the same cluster.
-        worker_cpus = float(os.environ.get("PROBE_RAY_WORKER_CPUS", "0.5"))
-        Remote = ray.remote(num_cpus=worker_cpus)(SegmentWorker)
+        Remote = ray.remote(num_cpus=0.5)(SegmentWorker)
         self._workers = [
-            Remote.remote(
-                self.index_dir, parts[i::n], self.avgdl, self.min_dlen
-            )
+            Remote.remote(self.index_dir, parts[i::n], self.avgdl)
             for i in range(n)
         ]
 
@@ -1281,8 +1241,11 @@ class IndexReader:
         Keys: path ("index" | "hybrid" | "invalid" | "too_many_terms"),
         terms, special_terms, only_excluded_fill, per-term df/idf,
         n_docs/avgdl/segments/tombstones, and for hybrid queries the
-        unit-candidate count (the number the hybrid crossover sizes its
-        candidate re-tokenize on)."""
+        unit-candidate count: the docs whose content or path holds a
+        special term, an upper bound on the docs the hybrid path reads
+        from the doc stores and re-tokenizes (it drops those whose
+        tokenization the special terms leave unchanged, and falls back
+        to the exhaustive scan past SCAN_FALLBACK_ABS candidate rows)."""
         out: dict = {
             "query": query,
             "n_docs": self.n_docs,
@@ -1309,7 +1272,7 @@ class IndexReader:
         }
         if plan.special_terms:
             out["path"] = "hybrid"
-            if with_candidates and self.has_units:
+            if with_candidates:
                 cand = self.special_candidate_keys(
                     [t.lower() for t in plan.special_terms]
                 )
@@ -1498,9 +1461,9 @@ class FederatedReader:
     shard independently; never rebuild the world to add a tenant).
 
     Federation-global statistics (N = sum n_docs, avgdl over summed
-    token counts, min_dlen, df = sum per-index df) are computed once and
-    pushed through the SAME per-spec override fields the hybrid path
-    uses (_QuerySpec.avgdl / min_dlen / idfs), so every shard's actors
+    token counts, df = sum per-index df) are computed once and pushed
+    through the SAME per-spec override fields the hybrid path uses
+    (_QuerySpec.avgdl / idfs), so every shard's actors
     score with GLOBAL stats and the merged top-k is bit-identical to a
     single index built over the union corpus (pinned in
     tests/test_federated.py).
@@ -1543,7 +1506,6 @@ class FederatedReader:
             int(r.manifest.get("n_tokens", 0)) for r in self.readers
         )
         self.avgdl = (self.n_tokens / self.n_docs) if self.n_docs else 0.0
-        self.min_dlen = min(r.min_dlen for r in self.readers)
         self.tombstones: frozenset[str] = frozenset().union(
             *(r.tombstones for r in self.readers)
         )
@@ -1628,7 +1590,6 @@ class FederatedReader:
                 need_fill=is_only_excluded_terms(plan.ast),
                 filters=filters.get(name) or {},
                 avgdl=self.avgdl,
-                min_dlen=self.min_dlen,
                 exclude_keys=exclude or None,
             )
 

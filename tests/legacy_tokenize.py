@@ -1,6 +1,8 @@
 """The per-(doc, term) Python-list TokenizePartial that preceded the
-flat-array run construction, kept verbatim as a reference: the rewrite
-must emit the same partial table, bit for bit.
+flat-array run construction, kept as a reference: the rewrite must emit
+the same partial table, bit for bit. It is verbatim but for the two
+changes that engine 9 made to both: the content cap counts UTF-8 bytes,
+and units are always emitted.
 
 ``legacy_tokenize_partial()`` defines the class inside a function, so
 cloudpickle ships it by value to Ray Data workers, which do not import
@@ -71,7 +73,7 @@ def legacy_tokenize_partial() -> type:
                 content = contents[i]
                 if (
                     cfg.max_content_bytes is not None
-                    and len(content) > cfg.max_content_bytes
+                    and len(content.encode("utf-8")) > cfg.max_content_bytes
                 ):
                     content = ""
                 # ONE alnum-run pass per string, shared between tokenization
@@ -93,30 +95,28 @@ def legacy_tokenize_partial() -> type:
                         runs[(s, t)] = run
                     run[0].append(dh)
                     run[1].append(f)
-                if cfg.unit_postings:
-                    # distinct CASE-PRESERVED alnum units of RAW content +
-                    # path — raw (pre-cap), because the hybrid path's
-                    # candidate mask substring-matches the raw corpus text
-                    # (case-insensitively at query time). Preserving case
-                    # makes tokenization-change detection EXACT per unit:
-                    # the tokenizer operates on raw tokens, so
-                    # _expand_token(unit, ctx) != _expand_token(unit, {})
-                    # decides precisely whether a doc holding that unit can
-                    # re-tokenize under a special-term context (hybrid.py
-                    # module doc; manifest flag "units_cased")
-                    if content is contents[i]:
-                        units = set(raw_c[0])
-                    else:  # content was capped; units come from RAW text
-                        units = set(_ALNUM_RUNS.findall(contents[i]))
-                    units.update(raw_p[0])
-                    for u in units:
-                        key = (s, UNIT_PREFIX + u)
-                        run = runs.get(key)
-                        if run is None:
-                            run = ([], [])
-                            runs[key] = run
-                        run[0].append(dh)
-                        run[1].append(1)
+                # distinct CASE-PRESERVED alnum units of RAW content +
+                # path — raw (pre-cap), because the hybrid path's
+                # candidate mask substring-matches the raw corpus text
+                # (case-insensitively at query time). Preserving case
+                # makes tokenization-change detection EXACT per unit:
+                # the tokenizer operates on raw tokens, so
+                # _expand_token(unit, ctx) != _expand_token(unit, {})
+                # decides precisely whether a doc holding that unit can
+                # re-tokenize under a special-term context (hybrid.py)
+                if content is contents[i]:
+                    units = set(raw_c[0])
+                else:  # content was capped; units come from RAW text
+                    units = set(_ALNUM_RUNS.findall(contents[i]))
+                units.update(raw_p[0])
+                for u in units:
+                    key = (s, UNIT_PREFIX + u)
+                    run = runs.get(key)
+                    if run is None:
+                        run = ([], [])
+                        runs[key] = run
+                    run[0].append(dh)
+                    run[1].append(1)
             for i in range(n):
                 shas.append(hashlib.sha256(contents[i].encode()).hexdigest())
 

@@ -9,7 +9,6 @@ not see a monkeypatched HOT_DF):
 - seeded Phase-B pruning (HOT_DF=1 -> every term hot, theta seeded from
   best-bound blocks) returns results identical to the exact all-rare path
   across AND/OR/NOT shapes, while actually skipping blocks (non-vacuous)
-- pre-r5 segments without blk_mindl fall back to the global bound
 """
 
 import glob
@@ -93,7 +92,7 @@ def test_seeded_pruning_identical_and_nonvacuous(seg_index):
     try:
         parts = rd._parts()
         specs = _mk_specs(rd, QUERIES)
-        worker = se.SegmentWorker(seg_index, parts, rd.avgdl, rd.min_dlen)
+        worker = se.SegmentWorker(seg_index, parts, rd.avgdl)
         old = se.HOT_DF
         try:
             se.HOT_DF = 10**9
@@ -167,38 +166,6 @@ def test_blk_mindl_exact_and_bounds_hold(seg_index):
     assert checked_multiblock > 0  # corpus produced multi-block terms
 
 
-def test_pre_r5_segment_fallback(seg_index):
-    """Segments without blk_mindl (pre-r5 format) score identically via
-    the segment-global min_dlen fallback."""
-    import probe_ray.search.searcher as se
-
-    rd = se.IndexReader(seg_index)
-    try:
-        w, s = rd._parts()[0]
-        specs = _mk_specs(rd, QUERIES)
-        worker = se.SegmentWorker(
-            seg_index, [(w, s)], rd.avgdl, rd.min_dlen
-        )
-        all_terms = sorted(
-            {t for sp in specs for t in sp.plan.term_indices}
-        )
-        post = worker._postings_for(w, s, all_terms)
-        old = se.HOT_DF
-        try:
-            se.HOT_DF = 1
-            kw = dict(
-                index_dir=seg_index, wave=w, sub=s, specs=specs, k=10,
-                avgdl=rd.avgdl, min_dlen=rd.min_dlen,
-            )
-            with_col = se.score_segment(post, **kw)
-            without = se.score_segment(post.drop_columns(["blk_mindl"]), **kw)
-        finally:
-            se.HOT_DF = old
-        assert _canon(with_col).equals(_canon(without))
-    finally:
-        rd.close()
-
-
 def test_anchored_refinement_identical(seg_index):
     """Force the anchored-refinement branch (small HOT_DF makes qzb hot;
     tiny ANCHOR_REFINE_BATCH activates batching) and pin row identity
@@ -225,7 +192,7 @@ def test_anchored_refinement_identical(seg_index):
         }
         parts = rd._parts()
         specs = _mk_specs(rd, queries)
-        worker = se.SegmentWorker(seg_index, parts, rd.avgdl, rd.min_dlen)
+        worker = se.SegmentWorker(seg_index, parts, rd.avgdl)
         old_df, old_batch = se.HOT_DF, se.ANCHOR_REFINE_BATCH
         try:
             se.HOT_DF = 10**9

@@ -113,29 +113,6 @@ def test_hybrid_equals_scan(qname, edge_index):
         rd.close()
 
 
-def test_hybrid_distributed_branch_equals_direct(edge_index, monkeypatch):
-    """With the warm-actor direct path disabled, the Dataset-pipeline
-    candidate branch must return the same tables — the crossover is a
-    latency choice, never a semantics choice. (Tiny test corpora always
-    sit under DIRECT_CAND_ROWS, so without this override the distributed
-    branch would go untested.)"""
-    from probe_ray.search import hybrid
-    from probe_ray.search.searcher import IndexReader
-
-    names = ["quoted_hit", "quoted_neg", "quoted_and"]
-    qs = {n: QUERIES[n] for n in names}
-    rd = IndexReader(edge_index)
-    try:
-        direct = rd.search_many(qs, k=10)
-        monkeypatch.setattr(hybrid, "DIRECT_CAND_ROWS", -1)
-        dist = rd.search_many(qs, k=10)
-        for n in names:
-            assert _as_rows(direct[n]) == _as_rows(dist[n]), n
-            assert direct[n].num_rows > 0, n
-    finally:
-        rd.close()
-
-
 def test_hybrid_batched_queries_equal_scan(edge_index):
     """All shapes in ONE search_many call (shared candidate pass)."""
     from probe_ray.search.scan import scan_search_many
@@ -162,9 +139,7 @@ def test_scan_fallback_threshold(edge_index, monkeypatch):
     rd = IndexReader(edge_index)
     try:
         base = rd.search_many({"q": '"whitelist" OR stream'}, k=10)["q"]
-        monkeypatch.setattr(H, "SCAN_FALLBACK_FLOOR", 0)
         monkeypatch.setattr(H, "SCAN_FALLBACK_ABS", 0)
-        monkeypatch.setattr(H, "SCAN_FALLBACK_FRAC", 0.0)
         fb = rd.search_many({"q": '"whitelist" OR stream'}, k=10)["q"]
         assert _as_rows(base) == _as_rows(fb)
     finally:
@@ -232,9 +207,7 @@ def test_scan_fallback_keeps_filters_and_budget(edge_index, monkeypatch):
             {"q": q}, k=10, filters={"q": {"lang": "py"}}
         )["q"]
         assert want.num_rows > 0
-        monkeypatch.setattr(H, "SCAN_FALLBACK_FLOOR", 0)
         monkeypatch.setattr(H, "SCAN_FALLBACK_ABS", 0)
-        monkeypatch.setattr(H, "SCAN_FALLBACK_FRAC", 0.0)
         got = rd.search_many(
             {"q": q}, k=10, filters={"q": {"lang": "py"}}
         )["q"]
@@ -256,7 +229,6 @@ def test_unit_candidates_equal_substring_scan(edge_index):
 
     rd = IndexReader(edge_index)
     try:
-        assert rd.has_units
         for term in ("whitelist", "stream", "happi", "ream", "wl", "zzz"):
             got = sorted(
                 zip(*[
@@ -270,46 +242,6 @@ def test_unit_candidates_equal_substring_scan(edge_index):
                 if term in c.lower() or term in p.lower()
             )
             assert got == want, term
-    finally:
-        rd.close()
-
-
-def test_no_units_index_back_compat(ray_session, tmp_path_factory):
-    """unit_postings=False: has_units is off, the hybrid path uses the
-    streaming substring prefilter, and results stay bit-equal to scan."""
-    import shutil as _sh
-
-    from probe_ray.index.build import IndexConfig, build_index
-    from probe_ray.search.scan import scan_search_many
-    from probe_ray.search.searcher import IndexReader
-
-    d = tmp_path_factory.mktemp("nounits_corpus")
-    t = pa.table(
-        {
-            "repo": pa.array([r[0] for r in ROWS]),
-            "path": pa.array([r[1] for r in ROWS]),
-            "commit": pa.array(["c0"] * len(ROWS)),
-            "lang": pa.array([r[2] for r in ROWS]),
-            "content": pa.array([r[3] for r in ROWS]),
-        }
-    )
-    pq.write_table(t, str(d / "part0.parquet"), row_group_size=4)
-    idx = str(tmp_path_factory.mktemp("nounits_index"))
-    _sh.rmtree(idx, ignore_errors=True)
-    build_index(
-        [str(d)], idx,
-        IndexConfig(num_waves=1, subshards=2, unit_postings=False),
-    )
-    rd = IndexReader(idx)
-    try:
-        assert not rd.has_units
-        for qname in ("quoted_hit", "quoted_and", "excluded", "stem_collision"):
-            q = QUERIES[qname]
-            got = rd.search_many({qname: q}, k=10)[qname]
-            want = scan_search_many(
-                rd.manifest["input_files"], {qname: q}, k=10
-            )[qname]
-            assert _as_rows(got) == _as_rows(want), qname
     finally:
         rd.close()
 
@@ -378,7 +310,7 @@ def test_unit_vocab_trigram_pruning_sublinear(ray_session, tmp_path_factory):
     total_rgs = _pq.ParquetFile(_units_path(idx, 0, 0)).num_row_groups
     assert total_rgs >= 3  # vocabulary really is inflated
 
-    w = SegmentWorker(idx, [(0, 0)], avgdl=20.0, min_dlen=1)
+    w = SegmentWorker(idx, [(0, 0)], avgdl=20.0)
     touched: list[int] = []
     orig = _pq.ParquetFile.read_row_group
 
@@ -393,13 +325,12 @@ def test_unit_vocab_trigram_pruning_sublinear(ray_session, tmp_path_factory):
         _pq.ParquetFile.read_row_group = orig
     # sublinear: the rare term's trigrams select far fewer RGs than exist
     assert len(set(touched)) < total_rgs
-    # identity: the pruned result equals the full-vocabulary fallback
-    g = _units_grams_path(idx, 0, 0)
-    _os.rename(g, g + ".off")
-    try:
-        full = w._matching_units(0, 0, ["zzrarezz"])
-    finally:
-        _os.rename(g + ".off", g)
+    # identity: the pruned result equals a substring pass over the whole
+    # unit vocabulary
+    vocab = _pq.read_table(_units_path(idx, 0, 0), columns=["term"])
+    full = sorted(
+        u for u in vocab.column("term").to_pylist() if "zzrarezz" in u.lower()
+    )
     assert pruned == full == ["zzrarezz"]
     # a substring-of-many term stays correct through the pruned path too
     assert w._matching_units(0, 0, ["x01"]) == sorted(
@@ -408,7 +339,7 @@ def test_unit_vocab_trigram_pruning_sublinear(ray_session, tmp_path_factory):
 
 
 def test_exact_change_filter_drops_inert_units(edge_index):
-    """On a units_cased index, special_candidate_keys with ctx_sets keeps
+    """special_candidate_keys with ctx_sets keeps
     only docs whose tokenization can actually change. 'stream' tokenizes
     to itself whole in every casing present ('stream' lowercase runs),
     so registering it as a special term changes nothing — zero
@@ -418,7 +349,6 @@ def test_exact_change_filter_drops_inert_units(edge_index):
 
     rd = IndexReader(edge_index)
     try:
-        assert rd.units_cased
         # substring-matched (no ctx filter): every doc containing "stream"
         raw = rd.special_candidate_keys(["stream"])
         assert raw.num_rows > 0

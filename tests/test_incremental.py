@@ -61,9 +61,6 @@ def test_incremental_append(ray_session, corpora, tmp_path_factory):
     build_index([src], idx_fresh, cfg)
     rd_a = IndexReader(idx)
     rd_b = IndexReader(idx_fresh)
-    # appended waves carry units files too — the hybrid special-term path
-    # must keep using index-served candidates over the grown index
-    assert rd_a.has_units and rd_b.has_units
     for q in QUERIES + ['"whitelist"', "database -sqlite"]:
         got = rd_a.search(q, k=10)
         want = rd_b.search(q, k=10)

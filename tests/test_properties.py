@@ -677,7 +677,6 @@ def _tokenize_case(draw):
     exclude = frozenset(f"{repos[i]}\x00{paths[i]}" for i in hit)
     cfg = IndexConfig(
         subshards=draw(st.sampled_from([1, 3, 4])),
-        unit_postings=draw(st.booleans()),
         max_content_bytes=draw(st.one_of(st.none(), st.integers(0, 40))),
         exclude_keys=(exclude | {"r9\x00nowhere"}) if exclude else None,
     )
@@ -697,3 +696,35 @@ def test_tokenize_partial_matches_loop_reference(case):
     got = TokenizePartial(cfg)(batch)
     assert got.schema.equals(want.schema)
     assert got.equals(want)
+
+
+def test_max_content_bytes_counts_utf8_bytes():
+    """The content cap counts UTF-8 bytes, not characters: a 10-character,
+    20-byte Greek content is over a 12-byte cap, so its doc indexes only
+    its path tokens; a 20-byte cap keeps the content."""
+    from probe_ray.index.build import UNIT_PREFIX
+
+    content, path = "αβγδεζηθικ", "src/lib.rs"
+    assert len(content) == 10 and len(content.encode("utf-8")) == 20
+    batch = pa.table(
+        {
+            "repo": ["r0"], "path": [path], "commit": ["c0"], "lang": ["rs"],
+            "content": [content],
+        }
+    )
+    path_toks = tokenize(path)
+
+    def indexed(cap):
+        out = TokenizePartial(IndexConfig(subshards=1, max_content_bytes=cap))(batch)
+        is_doc = out.column("is_doc").to_pylist()
+        terms = {
+            t
+            for t, d in zip(out.column("term").to_pylist(), is_doc)
+            if not d and not t.startswith(UNIT_PREFIX)
+        }
+        doc_len = out.filter(out.column("is_doc")).column("doc_len")[0].as_py()
+        return terms, doc_len
+
+    assert indexed(12) == (set(path_toks), len(path_toks))
+    terms, doc_len = indexed(20)
+    assert terms > set(path_toks) and doc_len > len(path_toks)

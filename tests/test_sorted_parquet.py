@@ -191,7 +191,7 @@ def test_index_rebuilt_in_place_is_read_fresh(ray_session, tmp_path_factory):
 
     def open_and_read():
         rd = IndexReader(idx)
-        worker = SegmentWorker(idx, rd._parts(), rd.avgdl, rd.min_dlen)
+        worker = SegmentWorker(idx, rd._parts(), rd.avgdl)
         try:
             hits = {
                 q: rd.search(q, k=50).column("path").to_pylist()

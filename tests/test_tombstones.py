@@ -151,15 +151,11 @@ def test_compact_index_preserves_build_config(
     build_index(
         [small_corpus],
         src,
-        IndexConfig(
-            num_waves=2, subshards=2, max_content_bytes=500,
-            unit_postings=False,
-        ),
+        IndexConfig(num_waves=2, subshards=2, max_content_bytes=500),
     )
     out = str(tmp_path / "compacted")
     compact_index(src, out)
     with open(f"{out}/manifest.json") as f:
         cfg = json.load(f)["config"]
     assert cfg["max_content_bytes"] == 500
-    assert cfg["unit_postings"] is False
     assert cfg["subshards"] == 2
