@@ -112,12 +112,7 @@ def cmd_search(args) -> int:
     if args.explain:
         import json as _json
 
-        if "," in args.index:
-            from probe_ray.search.searcher import FederatedReader
-
-            rd0 = FederatedReader(args.index.split(","))
-        else:
-            rd0 = IndexReader(args.index)
+        rd0 = IndexReader(args.index.split(","))
         try:
             print(_json.dumps(rd0.explain(" AND ".join(args.query)), indent=2))
         finally:
@@ -125,15 +120,10 @@ def cmd_search(args) -> int:
         if owns:
             ray.shutdown()
         return 0
-    if "," in args.index:
-        # federated search over several independently built indexes
-        # (per-tenant/shard layout); global stats, bit-identical to a
-        # union build — see searcher.FederatedReader
-        from probe_ray.search.searcher import FederatedReader
-
-        rd = FederatedReader(args.index.split(","))
-    else:
-        rd = IndexReader(args.index)
+    # one or more independently built indexes (per-tenant/shard layout,
+    # comma-separated); global stats, bit-identical to a union build —
+    # see searcher.IndexReader
+    rd = IndexReader(args.index.split(","))
     # multiple query args are ANDed into one query, mirroring the
     # reference CLI (search_runner.rs:358-364)
     joined = " AND ".join(args.query)
@@ -161,7 +151,7 @@ def cmd_search(args) -> int:
                 exact=args.exact, exclude_filenames=args.exclude_filenames,
             )["q0"]
         except ValueError as e:
-            # federated scope errors (special terms / exact / scan modes)
+            # corpus-reading modes (exclude_filenames) over several indexes
             print(f"error: {e}", file=sys.stderr)
             rd.close()
             if owns:
@@ -315,7 +305,7 @@ def cmd_upsert(args) -> int:
                 "delta": args.delta,
                 "members": args.members,
                 "n_docs": manifest["n_docs"],
-                "search_with": "FederatedReader(members + [delta], "
+                "search_with": "IndexReader(members + [delta], "
                 "tombstone_scope='member')",
             }
         )

@@ -2,11 +2,11 @@
 re-indexing.
 
 A tombstone is a ``(repo, path)`` key stored in ``tombstones.parquet``
-at the index root. Readers load the set once at open (and query actors
-receive it with each query spec, riding the exact exclusion mechanism
-the hybrid path already uses), so tombstoned documents vanish from every
-result path — index top-k, hybrid special-term, exhaustive scan, fill —
-for readers opened after the delete.
+at the index root. Readers load the set once at open and hand it to
+their query actors once, which turn it into one deleted-doc mask per
+segment, so tombstoned documents vanish from every result path — index
+top-k, hybrid special-term, exhaustive scan, fill — for readers opened
+after the delete.
 
 Semantics (standard tombstone design): only RESULT SETS are masked;
 corpus-global BM25 statistics (N, avgdl, df) remain those of the built
@@ -14,9 +14,9 @@ index until the next re-index/compaction. Incremental appends of new
 paths are unaffected; re-adding a tombstoned path requires clearing its
 tombstone first (`clear_tombstones`).
 
-Scale: the set ships once per query spec (driver -> actor); at millions
-of tombstones compaction (re-index without the dead docs) is the
-intended path — deletion volume that large is a rebuild, not a mask.
+Scale: the set ships once per actor, at reader open; at millions of
+tombstones compaction (re-index without the dead docs) is the intended
+path — deletion volume that large is a rebuild, not a mask.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ def _path(index_dir: str) -> str:
 
 
 def load_tombstones(index_dir: str) -> frozenset[str]:
-    """The index's tombstone set as '{repo}\\x00{path}' keys (the
-    _filter_mask exclusion-key format)."""
+    """The index's tombstone set as '{repo}\\x00{path}' keys."""
     p = _path(index_dir)
     if not os.path.exists(p):
         return frozenset()

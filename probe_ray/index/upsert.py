@@ -12,10 +12,10 @@ that way:
 2. then tombstone the fragment's (repo, path) keys in EVERY existing
    member index (masks the old versions; O(changed docs), touches no
    postings),
-3. search through ``FederatedReader(members + [delta],
-   tombstone_scope="member")`` — each member masks only its own
-   deletes, so the delta's new versions stay visible while the old
-   versions vanish.
+3. search through ``IndexReader(members + [delta],
+   tombstone_scope="member")`` — one reader and one actor pool over
+   every member's segments; each member masks only its own deletes, so
+   the delta's new versions stay visible while the old versions vanish.
 
 Repeated upserts chain: each round tombstones the keys in all prior
 members (including earlier deltas) and appends one more delta segment.
@@ -62,9 +62,9 @@ def upsert_segment(
     federation ``member_dirs``: tombstone the fragment's keys in every
     member, build the delta index at ``delta_dir``, and return the
     delta's build manifest. The caller then searches via
-    ``FederatedReader(member_dirs + [delta_dir],
-    tombstone_scope="member")`` — open readers must be re-opened to see
-    the new tombstones (they load once at open).
+    ``IndexReader(member_dirs + [delta_dir], tombstone_scope="member")``
+    — open readers must be re-opened to see the new tombstones (they
+    load once at open).
 
     Cost is O(changed docs) for both steps; no existing posting file is
     rewritten. Keys that are brand-new (inserts) get tombstoned in

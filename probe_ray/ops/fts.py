@@ -528,9 +528,10 @@ def hybrid_rrf_search(
 # the world to add a tenant or update a document.
 # ---------------------------------------------------------------------------
 
-# non-special-term query subset: FederatedReader covers the full
-# boolean/BM25 surface but special-term (quoted/excluded) queries are
-# per-index candidate machinery and raise by contract
+# the query subset the federated op checks and emits: non-special-term
+# queries only, a fixed set that keeps the op's pinned output stable (an
+# IndexReader over several indexes also answers quoted/excluded queries,
+# through the same hybrid path as a single index)
 FEDERATED_QUERIES = ("single_term", "and", "or_chain", "grouped", "required")
 
 
@@ -548,11 +549,11 @@ def _hash_parity_keep(batch: pa.Table, part: int) -> pa.Table:
 
 def fts_federated_search(sf_dir: str, k: int = 10) -> pa.Table:
     """Shard the code corpus into two member indexes by doc-hash parity,
-    build each INDEPENDENTLY, then search through ``FederatedReader``
-    with federation-global statistics — and assert the merged top-k is
-    bit-identical to the monolithic index over the union corpus (the
-    invariant tests/test_federated.py pins at unit scale). Output: one
-    (qname, rank, score, repo, path, sha256) row per result.
+    build each INDEPENDENTLY, then search both through one
+    ``IndexReader`` with federation-global statistics — and assert the
+    merged top-k is bit-identical to the monolithic index over the union
+    corpus (the invariant tests/test_federated.py pins at unit scale).
+    Output: one (qname, rank, score, repo, path, sha256) row per result.
 
     Reference analog: probe searches one repo root per invocation
     (src/search/search_runner.rs); multi-root = multiple invocations.
@@ -562,7 +563,6 @@ def fts_federated_search(sf_dir: str, k: int = 10) -> pa.Table:
     import ray
 
     from probe_ray.data.synth import CORPUS_VERSION
-    from probe_ray.search.searcher import FederatedReader
 
     corpus = code_corpus_parquet(sf_dir)
     members = []
@@ -587,7 +587,7 @@ def fts_federated_search(sf_dir: str, k: int = 10) -> pa.Table:
         members.append(_ensure_index_at(frag, member))
 
     mono = _reader(ensure_code_index(sf_dir))
-    fed = FederatedReader(members)
+    fed = IndexReader(members)
     try:
         out = []
         for qname in FEDERATED_QUERIES:
@@ -659,9 +659,7 @@ def _upsert_workspace(sf_dir: str) -> tuple[str, str, str, list[str]]:
 
 
 def _marker_search(members: list[str], scope: str, k: int) -> pa.Table:
-    from probe_ray.search.searcher import FederatedReader
-
-    fed = FederatedReader(members, tombstone_scope=scope)
+    fed = IndexReader(members, tombstone_scope=scope)
     try:
         return fed.search(UPSERT_MARKER, k=k)
     finally:

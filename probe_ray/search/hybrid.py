@@ -35,10 +35,14 @@ UNAFFECTED docs — tokenization identical to default, so the quoted /
 excluded keyword behaves there as an ordinary index term (its tf is
 whatever default tokenization produced, e.g. via stem collisions).
 They are served by the normal block-max index path (persistent actor
-pool) with overridden global stats and the candidate set masked out.
+pool) with overridden global stats and the candidates masked out by
+their segment-local ids — a (repo, path) key may repeat across the
+reader's index dirs (an upsert's tombstoned old version and its live
+new one), so the mask never goes by key. Tombstoned candidates count in
+the stat deltas, like every tombstoned doc, and are never returned.
 
 Global BM25 stats under the query context are derived exactly, in
-integer arithmetic, from the manifest + candidate deltas::
+integer arithmetic, from the reader's summed stats + candidate deltas::
 
     sum_dlen' = n_tokens + sum_C(ctx_dlen - default_dlen)
     avgdl'    = sum_dlen' / N
@@ -63,7 +67,6 @@ query fall back to the exhaustive scan path.
 
 from __future__ import annotations
 
-import hashlib
 import re
 import threading
 from collections import OrderedDict
@@ -99,60 +102,41 @@ SCAN_FALLBACK_ABS = 200_000
 _CTX_CACHE_MAX = 16
 _CTX_CACHE_MAX_ROWS = 65_536
 
-
-def _cache_enabled() -> bool:
-    # PROBE_RAY_HYBRID_CACHE=0 forces every call down the cold path —
-    # for measuring uncached latency (rehearsal tools) and for A/B
-    # correctness checks; read per call so tests can toggle it.
-    import os
-
-    return os.environ.get("PROBE_RAY_HYBRID_CACHE", "1") != "0"
-
 # A special term can only match a tokenizer unit if it is one alnum run
 # (units are produced by [^\W_]+ — tokenizer.py:_ALNUM_RUNS); terms with
 # spaces/underscores/punctuation can never fire and need no candidates.
 _UNIT_RE = re.compile(r"[^\W_]+\Z", re.UNICODE)
 
 
-_CAND_COLS = ["ctx", "repo", "path", "commit", "lang", "sha256", "d_dlen", "c_dlen"]
+# candidate-row columns passed through from the worker's batch: the
+# docstats metadata, plus the segment, local id and deleted flag that
+# SegmentWorker.candidate_stage adds
+_PASS_COLS = [
+    "member", "wave", "subshard", "local", "deleted",
+    "repo", "path", "commit", "lang", "sha256",
+]
+_CAND_COLS = ["ctx", *_PASS_COLS, "d_dlen", "c_dlen"]
 
 
 class _CandidateStage:
     """Batch callable that the workers owning the candidates apply to
     their doc-store reads (SegmentWorker.candidate_stage): per context,
     substring-prefilter, then double-tokenize only the matching rows.
-    Emits one row per (candidate doc, ctx) with default/ctx doc_len and,
-    per keyword t, tf under both tokenizations in columns ``d_tf:t`` /
-    ``c_tf:t``."""
+    Emits one row per (candidate doc, ctx) with the _PASS_COLS of the
+    doc, default/ctx doc_len and, per keyword t, tf under both
+    tokenizations in columns ``d_tf:t`` / ``c_tf:t``."""
 
     def __init__(self, ctxs: list[tuple[int, frozenset, list[str]]], keywords: list[str]):
         self.ctxs = ctxs  # (ci, full special set, active alnum specials)
         self.keywords = keywords
-        self.kw_pos = {t: j for j, t in enumerate(keywords)}
-
-    def _schema_arrays(self, out, d_tf, c_tf):
-        tbl = {
-            "ctx": pa.array(out["ctx"], pa.int32()),
-            "repo": pa.array(out["repo"], pa.string()),
-            "path": pa.array(out["path"], pa.string()),
-            "commit": pa.array(out["commit"], pa.string()),
-            "lang": pa.array(out["lang"], pa.string()),
-            "sha256": pa.array(out["sha256"], pa.string()),
-            "d_dlen": pa.array(out["d_dlen"], pa.int64()),
-            "c_dlen": pa.array(out["c_dlen"], pa.int64()),
-        }
-        for j, t in enumerate(self.keywords):
-            tbl[f"d_tf:{t}"] = pa.array(d_tf[j], pa.int32())
-            tbl[f"c_tf:{t}"] = pa.array(c_tf[j], pa.int32())
-        return pa.table(tbl)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        content = batch.column("content")
-        path = batch.column("path")
-        out = {c: [] for c in _CAND_COLS}
-        nk = len(self.keywords)
-        d_tf: list[list[int]] = [[] for _ in range(nk)]
-        c_tf: list[list[int]] = [[] for _ in range(nk)]
+        content, path = batch.column("content"), batch.column("path")
+        conts, paths = content.to_pylist(), path.to_pylist()
+        rows: list[np.ndarray] = [np.empty(0, np.int64)]
+        out: dict[str, list[int]] = {"ctx": [], "d_dlen": [], "c_dlen": []}
+        d_tf: dict[str, list[int]] = {t: [] for t in self.keywords}
+        c_tf: dict[str, list[int]] = {t: [] for t in self.keywords}
         for ci, specials_full, active in self.ctxs:
             mask = None
             for s in active:
@@ -164,41 +148,33 @@ class _CandidateStage:
             if mask is None:
                 continue
             idxs = np.flatnonzero(mask.to_numpy(zero_copy_only=False))
-            if not len(idxs):
-                continue
-            sub = batch.take(pa.array(idxs))
-            conts = sub.column("content").to_pylist()
-            paths = sub.column("path").to_pylist()
-            repos = sub.column("repo").to_pylist()
-            commits = sub.column("commit").to_pylist()
-            langs = sub.column("lang").to_pylist()
-            for i in range(len(conts)):
+            rows.append(idxs)
+            for i in idxs:
                 d_toks = preprocess_text_with_filename(conts[i], paths[i])
                 c_toks = preprocess_text_with_filename(
                     conts[i], paths[i], specials_full
                 )
                 out["ctx"].append(ci)
-                out["repo"].append(repos[i])
-                out["path"].append(paths[i])
-                out["commit"].append(commits[i])
-                out["lang"].append(langs[i])
-                out["sha256"].append(
-                    hashlib.sha256(conts[i].encode()).hexdigest()
-                )
                 out["d_dlen"].append(len(d_toks))
                 out["c_dlen"].append(len(c_toks))
-                dd: dict[str, int] = {}
-                for t in d_toks:
-                    if t in self.kw_pos:
-                        dd[t] = dd.get(t, 0) + 1
-                cc: dict[str, int] = {}
-                for t in c_toks:
-                    if t in self.kw_pos:
-                        cc[t] = cc.get(t, 0) + 1
-                for t, j in self.kw_pos.items():
-                    d_tf[j].append(dd.get(t, 0))
-                    c_tf[j].append(cc.get(t, 0))
-        return self._schema_arrays(out, d_tf, c_tf)
+                for tf_out, toks in ((d_tf, d_toks), (c_tf, c_toks)):
+                    tf: dict[str, int] = {}
+                    for t in toks:
+                        if t in tf_out:
+                            tf[t] = tf.get(t, 0) + 1
+                    for t, col in tf_out.items():
+                        col.append(tf.get(t, 0))
+        sub = batch.take(pa.array(np.concatenate(rows)))
+        tbl = {
+            "ctx": pa.array(out["ctx"], pa.int32()),
+            **{c: sub.column(c) for c in _PASS_COLS},
+            "d_dlen": pa.array(out["d_dlen"], pa.int64()),
+            "c_dlen": pa.array(out["c_dlen"], pa.int64()),
+        }
+        for t in self.keywords:
+            tbl[f"d_tf:{t}"] = pa.array(d_tf[t], pa.int32())
+            tbl[f"c_tf:{t}"] = pa.array(c_tf[t], pa.int32())
+        return pa.table(tbl)
 
 
 def _candidate_filter_mask(
@@ -216,6 +192,18 @@ def _candidate_filter_mask(
         arr = m.to_numpy(zero_copy_only=False)
         mask = arr if mask is None else (mask & arr)
     return mask
+
+
+def _locals_by_segment(cand: pa.Table) -> dict[tuple[int, int, int], np.ndarray]:
+    """The candidate rows' local ids per (member, wave, subshard)
+    segment: what the index path must not score again."""
+    seg = np.stack(
+        [cand.column(c).to_numpy() for c in ("member", "wave", "subshard")], 1
+    )
+    local = cand.column("local").to_numpy()
+    keys, inv = np.unique(seg, axis=0, return_inverse=True)
+    inv = inv.reshape(-1)
+    return {tuple(int(v) for v in key): local[inv == i] for i, key in enumerate(keys)}
 
 
 def hybrid_search_many(
@@ -271,12 +259,14 @@ def hybrid_search_many(
     keywords = sorted(set().union(*ctx_kws))
 
     n_docs = reader.n_docs
-    n_tokens = int(reader.manifest.get("n_tokens", 0))
+    n_tokens = reader.n_tokens
     df_global = reader.df_lookup(keywords)
 
     def _scan_fallback():
         # more than SCAN_FALLBACK_ABS candidate rows: the driver-side
-        # candidate table and exclusion sets would stop being small
+        # candidate table and exclusion sets would stop being small.
+        # It scans one index's corpus (reader.manifest), so a reader over
+        # several index dirs refuses it.
         return scan_search_many(
             reader.manifest["input_files"],
             {name: q for name, (q, _p) in queries.items()},
@@ -287,7 +277,6 @@ def hybrid_search_many(
             exclude_keys=reader.tombstones or None,
         )
 
-    use_cache = _cache_enabled()
     cache: OrderedDict = reader._hybrid_ctx_cache
     # One reader serves concurrent threads (the MCP/agent shape): guard
     # the check→move_to_end→read / store→evict sequences, which are not
@@ -303,7 +292,7 @@ def hybrid_search_many(
                 ctx_sub[ci] = None
                 continue
             key = ctx_key[ci]
-            if use_cache and key in cache:
+            if key in cache:
                 cache.move_to_end(key)
                 ctx_sub[ci] = cache[key]
             else:
@@ -343,7 +332,7 @@ def hybrid_search_many(
             else:
                 sub = None
         ctx_sub[ci] = sub
-        if use_cache and (sub is None or sub.num_rows <= _CTX_CACHE_MAX_ROWS):
+        if sub is None or sub.num_rows <= _CTX_CACHE_MAX_ROWS:
             with cache_lock:
                 cache[ctx_key[ci]] = sub
                 while len(cache) > _CTX_CACHE_MAX:
@@ -358,8 +347,6 @@ def hybrid_search_many(
             continue
         d_dlen = sub.column("d_dlen").to_numpy()
         c_dlen = sub.column("c_dlen").to_numpy()
-        repos = sub.column("repo").to_pylist()
-        paths = sub.column("path").to_pylist()
         ctx_data[ci] = {
             "table": sub,
             "d_dlen": d_dlen,
@@ -372,9 +359,7 @@ def hybrid_search_many(
                 t: sub.column(f"c_tf:{t}").to_numpy().astype(np.int64)
                 for t in ctx_kws[ci]
             },
-            "exclude": frozenset(
-                f"{r}\x00{p}" for r, p in zip(repos, paths)
-            ),
+            "exclude": _locals_by_segment(sub),
             "sum_delta": int(c_dlen.sum() - d_dlen.sum()),
         }
 
@@ -407,11 +392,7 @@ def hybrid_search_many(
                 need_fill=is_only_excluded_terms(plan.ast),
                 filters=filters.get(name, {}),
                 avgdl=avgdl,
-                exclude_keys=(
-                    ((cd["exclude"] if cd else frozenset())
-                     | reader.tombstones)
-                    or None
-                ),
+                exclude_locals=cd["exclude"] if cd else None,
             )
         )
 
@@ -438,16 +419,9 @@ def hybrid_search_many(
             fm = _candidate_filter_mask(sub, filters.get(name, {}))
             if fm is not None:
                 keep = keep & fm
-            if reader.tombstones:
-                key = pc.binary_join_element_wise(
-                    sub.column("repo"), sub.column("path"), "\x00"
-                )
-                keep = keep & pc.invert(
-                    pc.is_in(
-                        key,
-                        value_set=reader.tombstone_value_set(),
-                    )
-                ).to_numpy(zero_copy_only=False)
+            # tombstoned candidates count in the stat deltas above but
+            # are never returned
+            keep = keep & ~sub.column("deleted").to_numpy(zero_copy_only=False)
             idxs = np.flatnonzero(keep)
             if len(idxs):
                 take = sub.take(pa.array(idxs))

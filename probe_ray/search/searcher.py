@@ -10,16 +10,19 @@ Query flow (SURVEY.md SS4.2 "query job"):
 
   index path (stateful actor pool — the "shared index" case where raw Ray
   actors beat a per-query Dataset: segment state persists across queries):
-    driver: df for the query terms from the sorted term dictionary
+    driver: df for the query terms from the sorted term dictionaries
             (parquet row-group pruning; no postings scan) -> global idfs
-    -> SegmentWorker actor pool, created once per IndexReader; each actor
-       owns a static set of (wave, subshard) segments, holds their docstats
-       in memory and keeps one open SortedParquet handle per segment file
+    -> ONE SegmentWorker actor pool per IndexReader, over the segments of
+       one or more index dirs (members: a sharded corpus, or a base index
+       plus upsert deltas); each actor owns a static set of
+       (member, wave, subshard) segments, holds their docstats and
+       deleted-doc masks in memory and keeps one open SortedParquet handle
+       per segment file
     -> per segment: the handle maps the query terms to the postings row
        groups whose footer term range can hold them and reads only those
        (through a byte-bounded LRU of decoded row groups) -> exact
-       block-max top-k scoring
-    -> driver merges the per-segment top-k tables (tiny) by
+       block-max top-k scoring with the members' summed statistics
+    -> driver merges every segment's top-k table (tiny) in one round by
        (score desc, repo, path).
 
 Exactness optimizations inside a segment:
@@ -240,11 +243,12 @@ class _QuerySpec:
     need_fill: bool
     filters: dict[str, str] = field(default_factory=dict)
     # Hybrid special-term path (search/hybrid.py): a per-query override
-    # of the corpus-global avgdl (the query ctx shifts it), plus a
-    # doc-exclusion set ("repo\x00path") for candidates that the driver
-    # scores exactly under the query's tokenization context.
+    # of the corpus-global avgdl (the query ctx shifts it), plus the
+    # local ids, per (member, wave, subshard) segment, of the candidates
+    # that the driver scores exactly under the query's tokenization
+    # context.
     avgdl: float | None = None
-    exclude_keys: frozenset[str] | None = None
+    exclude_locals: dict[tuple[int, int, int], np.ndarray] | None = None
 
 
 def _intersect_sorted(arrays: list[np.ndarray]) -> np.ndarray:
@@ -261,8 +265,9 @@ def _filter_mask(
     filters: dict[str, str],
     exclude_keys: frozenset[str] | None = None,
 ) -> np.ndarray | None:
-    """Boolean mask over the docstats rows for metadata field filters and
-    (hybrid path) the candidate-doc exclusion set."""
+    """Boolean mask over docstats (or corpus) rows for metadata field
+    filters and a "repo\\x00path" exclusion set (the scan path's and the
+    workers' tombstones)."""
     if not filters and not exclude_keys:
         return None
     mask = None
@@ -287,21 +292,18 @@ def _filter_mask(
 def score_segment(
     postings: pa.Table,
     *,
-    index_dir: str,
-    wave: int,
-    sub: int,
+    stats: pa.Table,
     specs: list[_QuerySpec],
     k: int,
     avgdl: float,
-    stats: pa.Table | None = None,
+    seg: tuple[int, int, int] | None = None,
+    deleted: np.ndarray | None = None,
 ) -> pa.Table:
-    """Score one (wave, subshard) segment for every query; return its
-    top-k rows per query (comparator: -score, repo, path), plus zero-match
-    fill rows for specs whose AST includes empty docs at score 0.
-    ``stats`` is the segment's docstats table, read from the index when
-    the caller holds none."""
-    if stats is None:
-        stats = pq.read_table(_docstats_path(index_dir, wave, sub))
+    """Score one segment ``seg`` for every query; return its top-k rows
+    per query (comparator: -score, repo, path), plus zero-match fill rows
+    for specs whose AST includes empty docs at score 0. ``stats`` is the
+    segment's docstats table; rows set in ``deleted`` and the spec's
+    ``exclude_locals`` for ``seg`` are never returned."""
     doc_len_all = stats.column("doc_len").to_numpy().astype(np.float64)
 
     terms = postings.column("term").to_pylist()
@@ -340,7 +342,14 @@ def score_segment(
     for spec in specs:
         plan = spec.plan
         s_avgdl = spec.avgdl if spec.avgdl is not None else avgdl
-        fmask = _filter_mask(stats, spec.filters, spec.exclude_keys)
+        fmask = _filter_mask(stats, spec.filters)
+        drop = deleted
+        excluded_ids = (spec.exclude_locals or {}).get(seg)
+        if excluded_ids is not None:
+            drop = np.zeros(stats.num_rows, bool) if deleted is None else deleted.copy()
+            drop[excluded_ids] = True
+        if drop is not None:
+            fmask = ~drop if fmask is None else fmask & ~drop
         q_terms = [t for t in plan.term_indices if t in by_term]
         required_kws: set[str] = set()
         for tnode in walk_terms(plan.ast):
@@ -832,30 +841,38 @@ def score_segment(
 
 
 class SegmentWorker:
-    """Stateful query actor owning a static set of (wave, subshard)
-    segments. Docstats are held in memory; postings, units, unit grams
-    and doc stores (the hybrid path's candidate reads) go through one
-    SortedParquet handle per segment file, opened on first use and
-    sharing the worker's row-group LRU (ROW_GROUP_CACHE_BYTES)."""
+    """Stateful query actor owning a static set of (member, wave,
+    subshard) segments, ``member`` indexing ``index_dirs``. Docstats are
+    held in memory, with each segment's deleted-doc mask: its docs whose
+    key is in ``tombstones[member]`` (given once, at construction).
+    Postings, units, unit grams and doc stores (the hybrid path's
+    candidate reads) go through one SortedParquet handle per segment
+    file, opened on first use and sharing the worker's row-group LRU
+    (ROW_GROUP_CACHE_BYTES)."""
 
-    def __init__(self, index_dir: str, parts: list[tuple[int, int]],
-                 avgdl: float):
-        self.index_dir = index_dir
+    def __init__(self, index_dirs: list[str], parts: list[tuple[int, int, int]],
+                 avgdl: float, tombstones: list[frozenset[str]] | None = None):
+        self.index_dirs = index_dirs
         self.parts = parts
         self.avgdl = avgdl
         self._row_groups = _RowGroupLRU(ROW_GROUP_CACHE_BYTES)
-        self._files: dict[tuple[str, int, int], SortedParquet] = {}
+        self._files: dict[tuple[str, int, int, int], SortedParquet] = {}
         self._docstats = {
-            (w, s): pq.read_table(_docstats_path(index_dir, w, s))
-            for w, s in parts
+            (m, w, s): pq.read_table(_docstats_path(index_dirs[m], w, s))
+            for m, w, s in parts
         }
+        # per segment: its tombstoned rows, None when it has none
+        self._deleted: dict[tuple[int, int, int], np.ndarray | None] = {}
+        for seg, stats in self._docstats.items():
+            live = _filter_mask(stats, {}, tombstones[seg[0]] if tombstones else None)
+            self._deleted[seg] = None if live is None or live.all() else ~live
 
-    def _file(self, kind: str, w: int, s: int) -> SortedParquet:
-        h = self._files.get((kind, w, s))
+    def _file(self, kind: str, m: int, w: int, s: int) -> SortedParquet:
+        h = self._files.get((kind, m, w, s))
         if h is None:
             path_fn, key = _SEGMENT_FILES[kind]
-            h = SortedParquet(path_fn(self.index_dir, w, s), key, self._row_groups)
-            self._files[(kind, w, s)] = h
+            h = SortedParquet(path_fn(self.index_dirs[m], w, s), key, self._row_groups)
+            self._files[(kind, m, w, s)] = h
         return h
 
     def close(self) -> None:
@@ -865,31 +882,43 @@ class SegmentWorker:
         self._files.clear()
         self._row_groups = _RowGroupLRU(ROW_GROUP_CACHE_BYTES)
 
-    def _postings_for(self, w: int, s: int, terms: list[str]) -> pa.Table:
-        return self._file("postings", w, s).read(terms)
+    def _postings_for(self, w: int, s: int, terms: list[str],
+                      member: int = 0) -> pa.Table:
+        return self._file("postings", member, w, s).read(terms)
 
     def candidate_stage(self, locals_by_seg: dict, stage) -> pa.Table:
         """Apply ``stage`` (a picklable batch callable) to the given docs
-        ({(wave, subshard): distinct local ids}) of this worker's
+        ({(member, wave, subshard): distinct local ids}) of this worker's
         segments and concatenate its outputs: metadata from the docstats
-        held here, content from each segment's doc store — the hybrid
-        path's candidate fan-out. ``stage`` is applied to at most
-        DOCS_ROW_GROUP docs at a time (as many as one doc-store row group
-        holds), which bounds the worker's heap whatever the candidate
-        count."""
+        held here, the segment key, local id and deleted flag of each doc,
+        and content from each segment's doc store — the hybrid path's
+        candidate fan-out. ``stage`` is applied to at most DOCS_ROW_GROUP
+        docs at a time (as many as one doc-store row group holds), which
+        bounds the worker's heap whatever the candidate count."""
         parts = []
-        for (w, s), ids in sorted(locals_by_seg.items()):
-            ids = sorted(ids)
-            stats, store = self._docstats[(w, s)], self._file("docs", w, s)
+        for seg, ids in sorted(locals_by_seg.items()):
+            m, w, s = seg
+            ids = np.asarray(sorted(ids), np.int64)
+            stats, store = self._docstats[seg], self._file("docs", m, w, s)
+            dead = self._deleted[seg]
             for i in range(0, len(ids), DOCS_ROW_GROUP):
                 chunk = ids[i : i + DOCS_ROW_GROUP]
-                docs = stats.take(pa.array(chunk, pa.int64()))
-                content = store.read(chunk, ["content"]).column("content")
-                parts.append(stage(docs.append_column("content", content)))
+                n = len(chunk)
+                meta = stats.take(pa.array(chunk))
+                docs = dict(zip(meta.column_names, meta.columns)) | {
+                    "member": np.full(n, m, np.int32),
+                    "wave": np.full(n, w, np.int32),
+                    "subshard": np.full(n, s, np.int32),
+                    "local": chunk.astype(np.int32),
+                    "deleted": np.zeros(n, bool) if dead is None else dead[chunk],
+                    "content": store.read(chunk.tolist(), ["content"]).column("content"),
+                }
+                parts.append(stage(pa.table(docs)))
         return pa.concat_tables(parts)
 
-    def _matching_units(self, w: int, s: int, terms: list[str]) -> list[str]:
-        """Vocabulary terms of segment (w, s) containing any query term
+    def _matching_units(self, w: int, s: int, terms: list[str],
+                        member: int = 0) -> list[str]:
+        """Vocabulary terms of segment (member, w, s) containing any query term
         as a substring. Terms of >= 3 chars go through the build's
         trigram sidecar (units_grams/): the intersection of a term's
         trigrams' row-group sets is a no-false-negative candidate set,
@@ -902,7 +931,7 @@ class SegmentWorker:
         matched: set[str] = set()
         if pruned:
             grams = sorted({t[j : j + 3] for t in pruned for j in range(len(t) - 2)})
-            gt = self._file("units_grams", w, s).read(grams)
+            gt = self._file("units_grams", member, w, s).read(grams)
             g2rg: dict[str, set[int]] = {}
             for g, rg in zip(
                 gt.column("gram").to_pylist(), gt.column("rg").to_pylist()
@@ -916,7 +945,7 @@ class SegmentWorker:
                 cand = set.intersection(*sets) if sets else set()
                 for rg in cand:
                     need_rgs.setdefault(rg, []).append(t)
-            units = self._file("units", w, s)
+            units = self._file("units", member, w, s)
             for rg in sorted(need_rgs):
                 vocab_rg = units.row_group(rg, ["term"]).column(
                     "term"
@@ -930,7 +959,7 @@ class SegmentWorker:
                     matched.update(vocab_rg.take(pa.array(idxs)).to_pylist())
         if full:
             vocab = (
-                self._file("units", w, s)
+                self._file("units", member, w, s)
                 .read_all(["term"])
                 .column("term")
                 .combine_chunks()
@@ -949,9 +978,9 @@ class SegmentWorker:
         terms: list[str],
         ctx_sets: list[frozenset] | None = None,
     ) -> pa.Table:
-        """Distinct docs (wave, subshard, local, repo, path, doc_len) of
-        this worker's segments whose content or path contains any of
-        ``terms`` (lowercased alnum-only special terms) as a case-
+        """Distinct docs (member, wave, subshard, local, repo, path,
+        doc_len) of this worker's segments whose content or path contains
+        any of ``terms`` (lowercased alnum-only special terms) as a case-
         insensitive substring — answered from the build's unit-postings
         files (index/build.py UNIT_PREFIX), no corpus read. Per segment:
         a trigram-pruned (or, for terms under 3 chars, full) pass over the
@@ -982,20 +1011,21 @@ class SegmentWorker:
             return hit
 
         out: list[pa.Table] = []
-        for w, s in self.parts:
-            matched = self._matching_units(w, s, terms)
+        for m, w, s in self.parts:
+            matched = self._matching_units(w, s, terms, m)
             if matched and ctx_sets is not None:
                 matched = [u for u in matched if changes(u)]
             # every segment adds a (possibly empty) typed table
-            got = self._file("units", w, s).read(matched, ["df", "payload"])
+            got = self._file("units", m, w, s).read(matched, ["df", "payload"])
             dfs = got.column("df").to_numpy()
             locals_: list[np.ndarray] = [np.empty(0, np.uint64)] + [
                 decode_varint_deltas(p, int(n))
                 for p, n in zip(got.column("payload").to_pylist(), dfs)
             ]
             ids = np.unique(np.concatenate(locals_)).astype(np.int32)
-            take = self._docstats[(w, s)].take(pa.array(ids))
+            take = self._docstats[(m, w, s)].take(pa.array(ids))
             out.append(pa.table({
+                "member": np.full(len(ids), m, np.int32),
                 "wave": np.full(len(ids), w, np.int32),
                 "subshard": np.full(len(ids), s, np.int32),
                 "local": ids,
@@ -1014,18 +1044,17 @@ class SegmentWorker:
     def search(self, specs: list[_QuerySpec], k: int) -> pa.Table:
         all_terms = sorted({t for sp in specs for t in sp.plan.term_indices})
         tables = []
-        for w, s in self.parts:
-            post = self._postings_for(w, s, all_terms)
+        for seg in self.parts:
+            m, w, s = seg
             tables.append(
                 score_segment(
-                    post,
-                    index_dir=self.index_dir,
-                    wave=w,
-                    sub=s,
+                    self._postings_for(w, s, all_terms, m),
+                    stats=self._docstats[seg],
                     specs=specs,
                     k=k,
                     avgdl=self.avgdl,
-                    stats=self._docstats[(w, s)],
+                    seg=seg,
+                    deleted=self._deleted[seg],
                 )
             )
         return pa.concat_tables(tables)
@@ -1087,60 +1116,113 @@ class _DfDict:
 
 
 class IndexReader:
-    """Driver-side handle over a built index with a persistent query
-    actor pool (created lazily on first search)."""
+    """Driver-side handle over one built index dir, or a list of them
+    (members), served by one persistent query actor pool over every
+    member's segments (created lazily on first search).
 
-    def __init__(self, index_dir: str, num_workers: int | None = None):
-        self.index_dir = index_dir
-        with open(os.path.join(index_dir, "manifest.json")) as f:
-            self.manifest = json.load(f)
-        built = self.manifest.get("engine_version", 0)
-        if built < MIN_ENGINE_VERSION:
-            raise ValueError(
-                f"{index_dir} was built by engine {built}; this reader "
-                f"needs engine {MIN_ENGINE_VERSION} or later — rebuild it"
-            )
-        self.n_docs = self.manifest["n_docs"]
-        self.avgdl = self.manifest["avgdl"]
-        self._num_workers = num_workers
-        self._workers: list | None = None
-        self._df_dict = _DfDict(os.path.join(index_dir, "dict"))
-        # deleted (repo, path) keys — loaded once at open; masks every
-        # result path (index/hybrid/scan/fill) via the exclusion-key
-        # mechanism. Stats stay corpus-global (tombstones.py contract).
+    Scoring statistics are the members' sums (N, token count, df), with
+    avgdl from the sums, so every result is bit-identical to a single
+    index built over the union corpus (pinned in tests/test_federated.py)
+    — the per-tenant / per-shard layout, where each shard is built
+    independently and nothing is rebuilt to add one.
+
+    ``tombstone_scope`` decides which deletes mask a member's segments:
+    - "global" (default): the union of all members' tombstones — a
+      delete in one member deletes everywhere (disjoint-shard layout);
+    - "member": only the member's own — the Lucene-segment upsert layout
+      (index/upsert.py): an update tombstones the old version in the
+      member that holds it and appends a delta member with the new one,
+      so the same (repo, path) may exist in two members with exactly
+      one visible.
+    Tombstones are loaded once, at open. Outside the upsert layout the
+    members are assumed to hold disjoint (repo, path) keys: a key live in
+    two members is returned once per member."""
+
+    def __init__(
+        self,
+        index_dirs: str | list[str],
+        num_workers: int | None = None,
+        tombstone_scope: str = "global",
+    ):
         from probe_ray.index.tombstones import load_tombstones
 
-        self.tombstones: frozenset[str] = load_tombstones(index_dir)
-        self._tombstone_value_set = None
+        dirs = [index_dirs] if isinstance(index_dirs, str) else list(index_dirs)
+        if not dirs:
+            raise ValueError("IndexReader needs at least one index dir")
+        if tombstone_scope not in ("global", "member"):
+            raise ValueError(
+                f"tombstone_scope must be 'global' or 'member', "
+                f"got {tombstone_scope!r}"
+            )
+        self.index_dirs = dirs
+        self.tombstone_scope = tombstone_scope
+        self.manifests = []
+        for d in dirs:
+            with open(os.path.join(d, "manifest.json")) as f:
+                m = json.load(f)
+            built = m.get("engine_version", 0)
+            if built < MIN_ENGINE_VERSION:
+                raise ValueError(
+                    f"{d} was built by engine {built}; this reader "
+                    f"needs engine {MIN_ENGINE_VERSION} or later — rebuild it"
+                )
+            self.manifests.append(m)
+        self.n_docs = sum(m["n_docs"] for m in self.manifests)
+        self.n_tokens = sum(int(m["n_tokens"]) for m in self.manifests)
+        self.avgdl = (self.n_tokens / self.n_docs) if self.n_docs else 0.0
+        self._num_workers = num_workers
+        self._workers: list | None = None
+        self._df_dicts = [_DfDict(os.path.join(d, "dict")) for d in dirs]
+        # deleted (repo, path) keys, per member; each worker masks its
+        # segments with them. Stats stay corpus-global (tombstones.py).
+        own = [load_tombstones(d) for d in dirs]
+        self.tombstones: frozenset[str] = frozenset().union(*own)
+        self._masks = own if tombstone_scope == "member" else [self.tombstones] * len(dirs)
         # hybrid.py's per-context candidate tables (an LRU) and its lock
         self._hybrid_ctx_cache: OrderedDict = OrderedDict()
         self._hybrid_ctx_lock = threading.Lock()
 
-    def tombstone_value_set(self):
-        """The tombstone keys as a sorted pa.Array, built ONCE per reader
-        (tombstones are immutable after open) — the hybrid candidate
-        filter runs per query and must not re-sort/re-encode the set on
-        its hot path."""
-        if self._tombstone_value_set is None:
-            import pyarrow as pa
+    @property
+    def manifest(self) -> dict:
+        return self.manifests[self._single()]
 
-            self._tombstone_value_set = pa.array(sorted(self.tombstones))
-        return self._tombstone_value_set
+    @property
+    def index_dir(self) -> str:
+        return self.index_dirs[self._single()]
+
+    def _single(self) -> int:
+        """0 for a reader over one index dir. ``manifest`` and
+        ``index_dir`` go through it, and so do the routes that read the
+        raw corpus through ``manifest["input_files"]`` (the
+        ``exclude_filenames`` scan, the hybrid scan fallback): they
+        refuse a reader over several dirs."""
+        if len(self.index_dirs) > 1:
+            raise ValueError(
+                f"this reader spans {len(self.index_dirs)} index dirs; a route "
+                "that reads the raw corpus needs a reader over one index dir"
+            )
+        return 0
 
     def df_lookup(self, terms: list[str]) -> dict[str, int]:
-        """Cached per-term document frequencies (see _DfDict)."""
-        return self._df_dict.lookup(terms)
+        """Cached per-term document frequencies (see _DfDict), summed
+        over the members."""
+        out: dict[str, int] = {}
+        for dd in self._df_dicts:
+            for t, n in dd.lookup(terms).items():
+                out[t] = out.get(t, 0) + n
+        return out
 
     def special_candidate_keys(
         self,
         terms: list[str],
         ctx_sets: list[frozenset] | None = None,
     ) -> pa.Table:
-        """Distinct (repo, path) docs whose content/path contains any of
-        the given lowercased special terms — from the unit postings via
-        the persistent actor pool. With ``ctx_sets``, only docs whose
-        tokenization can actually CHANGE under some context are returned
-        (exact per-unit filter; see SegmentWorker.unit_candidates)."""
+        """Distinct docs (rows of SegmentWorker.unit_candidates) whose
+        content/path contains any of the given lowercased special terms —
+        from the unit postings via the persistent actor pool. With
+        ``ctx_sets``, only docs whose tokenization can actually CHANGE
+        under some context are returned (exact per-unit filter; see
+        SegmentWorker.unit_candidates)."""
         import ray
 
         self._ensure_workers()
@@ -1160,22 +1242,25 @@ class IndexReader:
         self._ensure_workers()
         n = len(self._workers)
         owner = {p: i % n for i, p in enumerate(self._parts())}
-        calls: dict[int, dict[tuple[int, int], list[int]]] = {}
-        for w, s, loc in zip(*(keys.column(c).to_pylist()
-                               for c in ("wave", "subshard", "local"))):
-            calls.setdefault(owner[(w, s)], {}).setdefault((w, s), []).append(loc)
+        calls: dict[int, dict[tuple[int, int, int], list[int]]] = {}
+        for *seg, loc in zip(*(keys.column(c).to_pylist()
+                               for c in ("member", "wave", "subshard", "local"))):
+            seg = tuple(seg)
+            calls.setdefault(owner[seg], {}).setdefault(seg, []).append(loc)
         futs = [
             self._workers[i].candidate_stage.remote(segs, stage)
             for i, segs in sorted(calls.items())
         ]
         return pa.concat_tables(ray.get(futs))
 
-    def _parts(self) -> list[tuple[int, int]]:
-        parts = []
-        for wm in self.manifest["waves"]:
-            for sm in wm.get("subshards", []):
-                parts.append((int(wm["wave"]), int(sm["subshard"])))
-        return parts
+    def _parts(self) -> list[tuple[int, int, int]]:
+        """Every (member, wave, subshard) segment of the reader."""
+        return [
+            (m, int(wm["wave"]), int(sm["subshard"]))
+            for m, manifest in enumerate(self.manifests)
+            for wm in manifest["waves"]
+            for sm in wm.get("subshards", [])
+        ]
 
     def _ensure_workers(self):
         if self._workers is not None:
@@ -1189,10 +1274,11 @@ class IndexReader:
         n = max(1, min(n, len(parts)))
         # Fractional reservation: query actors are bursty, and a pool that
         # pins whole CPUs can starve concurrent Dataset jobs (index builds)
-        # on the same cluster.
+        # on the same cluster. One pool however many members: its size
+        # never grows with the member count.
         Remote = ray.remote(num_cpus=0.5)(SegmentWorker)
         self._workers = [
-            Remote.remote(self.index_dir, parts[i::n], self.avgdl)
+            Remote.remote(self.index_dirs, parts[i::n], self.avgdl, self._masks)
             for i in range(n)
         ]
 
@@ -1239,19 +1325,23 @@ class IndexReader:
         the hybrid path's own cheap first stage).
 
         Keys: path ("index" | "hybrid" | "invalid" | "too_many_terms"),
-        terms, special_terms, only_excluded_fill, per-term df/idf,
-        n_docs/avgdl/segments/tombstones, and for hybrid queries the
-        unit-candidate count: the docs whose content or path holds a
-        special term, an upper bound on the docs the hybrid path reads
-        from the doc stores and re-tokenizes (it drops those whose
-        tokenization the special terms leave unchanged, and falls back
-        to the exhaustive scan past SCAN_FALLBACK_ABS candidate rows)."""
+        terms, special_terms, only_excluded_fill, per-term df/idf (summed
+        over the members), n_docs/avgdl/segments/tombstones,
+        federated_members (the number of index dirs), tombstone_scope,
+        and for hybrid queries the unit-candidate count: the docs whose
+        content or path holds a special term, an upper bound on the docs
+        the hybrid path reads from the doc stores and re-tokenizes (it
+        drops those whose tokenization the special terms leave unchanged,
+        and falls back to the exhaustive scan past SCAN_FALLBACK_ABS
+        candidate rows)."""
         out: dict = {
             "query": query,
             "n_docs": self.n_docs,
             "avgdl": self.avgdl,
             "segments": len(self._parts()),
             "tombstones": len(self.tombstones),
+            "federated_members": len(self.index_dirs),
+            "tombstone_scope": self.tombstone_scope,
         }
         try:
             plan = create_query_plan(query)
@@ -1290,13 +1380,14 @@ class IndexReader:
 
     def close(self):
         """Kill the query actor pool (frees its reserved resources) and
-        close the dictionary's file handles."""
+        close the dictionaries' file handles."""
         import ray
 
         for w in self._workers or []:
             ray.kill(w)
         self._workers = None
-        self._df_dict.close()
+        for dd in self._df_dicts:
+            dd.close()
 
     def search(self, query: str, k: int = 10,
                filters: dict[str, str] | None = None,
@@ -1353,7 +1444,8 @@ class IndexReader:
             # content-only matching cannot be answered from the index —
             # route every query to the exact scan path with filename
             # tokenization disabled (rare-flag queries pay corpus cost,
-            # the same H2-style trade as quoted/excluded terms).
+            # the same H2-style trade as quoted/excluded terms). It reads
+            # one index's corpus, so a reader over several dirs refuses it.
             from probe_ray.search.scan import scan_search_many
 
             if valid:
@@ -1400,7 +1492,6 @@ class IndexReader:
                     # matched set fails unless every term is excluded)
                     need_fill=is_only_excluded_terms(plan.ast),
                     filters=filters.get(name, {}),
-                    exclude_keys=self.tombstones or None,
                 )
             )
 
@@ -1455,212 +1546,4 @@ def _finalize(top: pa.Table) -> pa.Table:
     )
 
 
-class FederatedReader:
-    """Exact BM25 search across MULTIPLE indexes — the per-tenant /
-    per-shard index layout a 100-TB corpus actually uses (build each
-    shard independently; never rebuild the world to add a tenant).
-
-    Federation-global statistics (N = sum n_docs, avgdl over summed
-    token counts, df = sum per-index df) are computed once and pushed
-    through the SAME per-spec override fields the hybrid path uses
-    (_QuerySpec.avgdl / idfs), so every shard's actors
-    score with GLOBAL stats and the merged top-k is bit-identical to a
-    single index built over the union corpus (pinned in
-    tests/test_federated.py).
-
-    ``tombstone_scope`` controls delete visibility:
-    - "global" (default): tombstones are unioned across members — a
-      federated delete deletes everywhere (disjoint-shard layout).
-    - "member": each member's tombstones mask only ITS OWN results —
-      the Lucene-segment upsert layout (index/upsert.py): updating a
-      document tombstones the old version in the segment that holds it
-      and appends a fresh delta segment carrying the new version, so
-      the same (repo, path) may legitimately exist in two members with
-      exactly one visible.
-
-    Scope: the full boolean/BM25 surface incl. field filters. Dynamic
-    special-term queries (quoted/excluded keywords — the hybrid
-    machinery, which includes only-excluded fill) are per-index
-    candidate generation and are not federated — they raise ValueError;
-    run them per member index. Members are assumed DISJOINT document
-    sets (a sharded corpus); overlapping (repo, path) keys would appear
-    once per owning member."""
-
-    def __init__(
-        self,
-        index_dirs: list[str],
-        num_workers: int | None = None,
-        tombstone_scope: str = "global",
-    ):
-        if not index_dirs:
-            raise ValueError("FederatedReader needs at least one index")
-        if tombstone_scope not in ("global", "member"):
-            raise ValueError(
-                f"tombstone_scope must be 'global' or 'member', "
-                f"got {tombstone_scope!r}"
-            )
-        self.tombstone_scope = tombstone_scope
-        self.readers = [IndexReader(d, num_workers) for d in index_dirs]
-        self.n_docs = sum(r.n_docs for r in self.readers)
-        self.n_tokens = sum(
-            int(r.manifest.get("n_tokens", 0)) for r in self.readers
-        )
-        self.avgdl = (self.n_tokens / self.n_docs) if self.n_docs else 0.0
-        self.tombstones: frozenset[str] = frozenset().union(
-            *(r.tombstones for r in self.readers)
-        )
-
-    def df_lookup(self, terms: list[str]) -> dict[str, int]:
-        out = {t: 0 for t in terms}
-        for r in self.readers:
-            for t, df in r.df_lookup(terms).items():
-                out[t] += df
-        return out
-
-    def search(
-        self,
-        query: str,
-        k: int = 10,
-        filters: dict[str, str] | None = None,
-        max_total_tokens: int | None = None,
-    ) -> pa.Table:
-        return self.search_many(
-            {"q": query}, k, filters={"q": filters or {}},
-            max_total_tokens=max_total_tokens,
-        )["q"]
-
-    def search_many(
-        self,
-        queries: dict[str, str],
-        k: int = 10,
-        filters: dict[str, dict[str, str]] | None = None,
-        max_total_tokens: int | None = None,
-        exact: bool = False,
-        exclude_filenames: bool = False,
-    ) -> dict[str, pa.Table]:
-        """Batched federated search, IndexReader.search_many-compatible:
-        every query's spec ships to each member's actor pool in ONE
-        round (``_send_specs``: one ray.put, one task per worker), all
-        members' rounds in flight together, so an n-query batch pays the
-        same number of round trips as a single query. Scope: boolean/BM25
-        with field filters; per-index machinery — special terms, exact
-        mode, content-only scan — raises. Per-query results are
-        bit-identical to search()."""
-        import ray
-
-        if exact or exclude_filenames:
-            raise ValueError(
-                "exact / exclude_filenames are per-index scan machinery; "
-                "run them on a member IndexReader"
-            )
-        filters = filters or {}
-        results: dict[str, pa.Table] = {}
-        named_plans = {}
-        all_terms: set[str] = set()
-        for name, q in queries.items():
-            try:
-                plan = create_query_plan(q)
-            except Exception:
-                results[name] = _empty_result()
-                continue
-            if plan.special_terms:
-                raise ValueError(
-                    "special-term (quoted/excluded) queries are per-index "
-                    "candidate machinery; run them on a member IndexReader"
-                )
-            if len(plan.term_indices) > MAX_QUERY_TERMS:
-                results[name] = _empty_result()
-                continue
-            named_plans[name] = plan
-            all_terms |= set(plan.term_indices)
-        if not named_plans:
-            return results
-        df_global = self.df_lookup(sorted(all_terms))
-
-        def mkspec(name: str, plan, exclude) -> _QuerySpec:
-            idfs = {
-                t: idf_fn(self.n_docs, df_global[t])
-                for t in plan.term_indices
-                if df_global.get(t, 0) > 0
-            }
-            return _QuerySpec(
-                name=name,
-                plan=plan,
-                idfs=idfs,
-                need_fill=is_only_excluded_terms(plan.ast),
-                filters=filters.get(name) or {},
-                avgdl=self.avgdl,
-                exclude_keys=exclude or None,
-            )
-
-        futs = []
-        for r in self.readers:
-            # member scope: each segment masks only its own deletes, so
-            # an upserted (repo, path) stays visible in the delta member
-            exclude = (
-                r.tombstones
-                if self.tombstone_scope == "member"
-                else self.tombstones
-            )
-            futs += r._send_specs(
-                [mkspec(n, p, exclude) for n, p in named_plans.items()], k
-            )
-        merged = pa.concat_tables(ray.get(futs))
-        for name in named_plans:
-            use = merged.filter(pc.equal(merged.column("query"), name))
-            idx = pc.sort_indices(
-                use,
-                sort_keys=[
-                    ("score", "descending"),
-                    ("repo", "ascending"),
-                    ("path", "ascending"),
-                ],
-            )[:k]
-            top = use.take(idx)
-            if max_total_tokens is not None:
-                cum = np.cumsum(top.column("doc_len").to_numpy())
-                top = top.slice(
-                    0, int(np.searchsorted(cum, max_total_tokens, "right"))
-                )
-            results[name] = _finalize(top)
-        return results
-
-    def explain(self, query: str) -> dict:
-        """Federation-level EXPLAIN: the GLOBAL statistics a federated
-        search actually scores with (summed N/df, pooled avgdl), plus
-        per-member doc counts. Special-term queries report path
-        "unsupported-special" (per-index machinery)."""
-        out: dict = {
-            "query": query,
-            "federated_members": len(self.readers),
-            "member_n_docs": [r.n_docs for r in self.readers],
-            "n_docs": self.n_docs,
-            "avgdl": self.avgdl,
-            "tombstones": len(self.tombstones),
-            "tombstone_scope": self.tombstone_scope,
-        }
-        try:
-            plan = create_query_plan(query)
-        except Exception as e:
-            out.update(path="invalid", error=str(e))
-            return out
-        terms = sorted(plan.term_indices)
-        out["terms"] = terms
-        out["special_terms"] = sorted(plan.special_terms)
-        if plan.special_terms:
-            out["path"] = "unsupported-special"
-            return out
-        if len(plan.term_indices) > MAX_QUERY_TERMS:
-            out["path"] = "too_many_terms"
-            return out
-        df = self.df_lookup(terms)
-        out["df"] = df
-        out["idf"] = {
-            t: idf_fn(self.n_docs, df[t]) for t in terms if df.get(t, 0) > 0
-        }
-        out["path"] = "index"
-        return out
-
-    def close(self):
-        for r in self.readers:
-            r.close()
+FederatedReader = IndexReader  # the name perfbench/run.py imports

@@ -92,7 +92,7 @@ def test_seeded_pruning_identical_and_nonvacuous(seg_index):
     try:
         parts = rd._parts()
         specs = _mk_specs(rd, QUERIES)
-        worker = se.SegmentWorker(seg_index, parts, rd.avgdl)
+        worker = se.SegmentWorker([seg_index], parts, rd.avgdl)
         old = se.HOT_DF
         try:
             se.HOT_DF = 10**9
@@ -192,7 +192,7 @@ def test_anchored_refinement_identical(seg_index):
         }
         parts = rd._parts()
         specs = _mk_specs(rd, queries)
-        worker = se.SegmentWorker(seg_index, parts, rd.avgdl)
+        worker = se.SegmentWorker([seg_index], parts, rd.avgdl)
         old_df, old_batch = se.HOT_DF, se.ANCHOR_REFINE_BATCH
         try:
             se.HOT_DF = 10**9

@@ -63,8 +63,6 @@ def test_fanout_reads_only_the_index(ray_session, tmp_path, monkeypatch):
     corpus, idx = str(tmp_path / "corpus"), str(tmp_path / "idx")
     _write_rows(corpus, ROWS)
     build_index([corpus], idx, IndexConfig(num_waves=2, subshards=2))
-    # every special-term call recomputes its candidates (no ctx cache)
-    monkeypatch.setenv("PROBE_RAY_HYBRID_CACHE", "0")
     fanned: list[int] = []
     orig = IndexReader.candidate_stage_fanout
 
@@ -83,6 +81,8 @@ def test_fanout_reads_only_the_index(ray_session, tmp_path, monkeypatch):
         fresh = IndexReader(idx)
         for reader in (rd, fresh):
             for name, q in SHAPES.items():
+                # every special-term call recomputes its candidates
+                reader._hybrid_ctx_cache.clear()
                 fanned.clear()
                 got = reader.search(q, k=10)
                 assert fanned and fanned[0] > 0, name
@@ -149,7 +149,7 @@ def test_docs_file_is_raw_content_in_docstats_order(
     assert not glob.glob(os.path.join(idx, "waves", "*", "tokenized"))
 
 
-def test_fanout_one_call_per_owning_worker(ray_session, tmp_path, monkeypatch):
+def test_fanout_one_call_per_owning_worker(ray_session, tmp_path):
     """2 workers over 4 segments: the fan-out calls each owning worker
     once, with local ids of that worker's own segments only, and the
     answer equals the exhaustive scan."""
@@ -165,7 +165,6 @@ def test_fanout_one_call_per_owning_worker(ray_session, tmp_path, monkeypatch):
     corpus, idx = str(tmp_path / "corpus"), str(tmp_path / "idx")
     _write_rows(corpus, rows)
     build_index([corpus], idx, IndexConfig(num_waves=2, subshards=2))
-    monkeypatch.setenv("PROBE_RAY_HYBRID_CACHE", "0")
     rd = IndexReader(idx, num_workers=2)
     rd._ensure_workers()
     handles = rd._workers

@@ -1,5 +1,6 @@
-"""FederatedReader: multi-index search with federation-global stats must
-be bit-identical to a single index built over the union corpus."""
+"""IndexReader over several index dirs: multi-index search with
+federation-global stats must be bit-identical to a single index built
+over the union corpus."""
 
 from __future__ import annotations
 
@@ -16,6 +17,9 @@ QUERIES = [
     "database",
     "setTools OR parse",
 ]
+
+# quoted, excluded and quoted+excluded: the hybrid special-term path
+SPECIAL_QUERIES = ['"handler" OR database', "error -sqlite", '"error" -handler']
 
 
 @pytest.fixture(scope="module")
@@ -53,9 +57,11 @@ def test_federated_equals_union_index(ray_session, federation):
         ff = fed.search("error", k=20, filters={"lang": "en"})
         uf = union.search("error", k=20, filters={"lang": "en"})
         assert ff.equals(uf)
-        # special-term queries are per-index machinery
-        with pytest.raises(ValueError):
-            fed.search('"error"', k=5)
+        # special-term queries take the same hybrid path over members
+        for q in SPECIAL_QUERIES:
+            assert fed.explain(q)["unit_candidates"] > 0, q
+            ft = fed.search(q, k=10)
+            assert ft.num_rows > 0 and ft.equals(union.search(q, k=10)), q
     finally:
         fed.close()
         union.close()
@@ -134,7 +140,7 @@ def test_federated_search_many_matches_per_query(
         monkeypatch.setattr(IndexReader, "_send_specs", counting)
         batch = fed.search_many(named, k=10)
         monkeypatch.undo()
-        assert rounds == [len(named)] * len(fed.readers)
+        assert rounds == [len(named)]
         ubatch = union.search_many(named, k=10)
         for name, q in named.items():
             assert batch[name].equals(fed.search(q, k=10)), name
@@ -144,11 +150,14 @@ def test_federated_search_many_matches_per_query(
             {"f": "error"}, k=20, filters={"f": {"lang": "en"}}
         )
         assert fb["f"].equals(fed.search("error", k=20, filters={"lang": "en"}))
-        # special terms raise, parse failures degrade per query
-        import pytest as _pytest
-
-        with _pytest.raises(ValueError):
-            fed.search_many({"s": '"error"'}, k=5)
+        # special terms equal the union index, parse failures degrade
+        # per query
+        special = {f"s{i}": q for i, q in enumerate(SPECIAL_QUERIES)}
+        sbatch = fed.search_many(special, k=10)
+        usbatch = union.search_many(special, k=10)
+        for name in special:
+            assert sbatch[name].num_rows > 0, name
+            assert sbatch[name].equals(usbatch[name]), name
         deg = fed.search_many({"bad": "(((", "ok": "error"}, k=5)
         assert deg["bad"].num_rows == 0 and deg["ok"].num_rows > 0
     finally:

@@ -310,7 +310,7 @@ def test_unit_vocab_trigram_pruning_sublinear(ray_session, tmp_path_factory):
     total_rgs = _pq.ParquetFile(_units_path(idx, 0, 0)).num_row_groups
     assert total_rgs >= 3  # vocabulary really is inflated
 
-    w = SegmentWorker(idx, [(0, 0)], avgdl=20.0)
+    w = SegmentWorker([idx], [(0, 0, 0)], avgdl=20.0)
     touched: list[int] = []
     orig = _pq.ParquetFile.read_row_group
 

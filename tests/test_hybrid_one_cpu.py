@@ -81,7 +81,7 @@ def test_hybrid_query_answers_at_one_cpu():
     work = tempfile.mkdtemp(prefix="hyb1cpu-")
     # short: Ray's socket paths under it must stay within the OS limit
     ray_tmp = tempfile.mkdtemp(prefix="ray1cpu-")
-    env = dict(os.environ, PYTHONPATH=repo, PROBE_RAY_HYBRID_CACHE="0")
+    env = dict(os.environ, PYTHONPATH=repo)
     proc = subprocess.Popen(
         [sys.executable, "-c", CHILD, work, ray_tmp, str(N_DOCS), str(N_CANDIDATES)],
         cwd=repo,

@@ -144,10 +144,9 @@ def test_upsert_round2_chains(ray_session, upsert_env):
 
     # num_workers=1 keeps the actor-CPU footprint small: the suite's
     # shared 4-CPU session also hosts other fixtures' persistent query
-    # actors, and two concurrently-open 3-member federations at the
-    # default pool size exhaust the fractional reservations and deadlock
-    # actor creation. The two federations below are opened SEQUENTIALLY
-    # for the same reason.
+    # actors. A reader holds one pool whatever its member count, and the
+    # two readers below are opened one after the other, each closed
+    # before the next opens.
     fed = FederatedReader(
         [env["base"], env["delta1"], delta2],
         num_workers=1,
@@ -180,6 +179,66 @@ def test_upsert_round2_chains(ray_session, upsert_env):
         assert fed2.search(MARK1, k=10).equals(got1)
     finally:
         fed2.close()
+
+
+def test_upsert_excludes_hybrid_candidates_per_segment(ray_session, tmp_path):
+    """The old version of an upserted doc holds the excluded special
+    term ``hashmap`` (so it is a hybrid candidate) and the new version
+    does not. Over [base, delta] with member scope, ``handler -hashmap``
+    returns the new version and never the old one, and the same
+    (repo, path, sha256) set as an index rebuilt over the live corpus.
+    Excluding the candidates from the index path by (repo, path) key
+    would hide the live new version too: the key repeats across the two
+    members."""
+    from probe_ray.index.build import IndexConfig, build_index
+    from probe_ray.index.upsert import upsert_segment
+    from probe_ray.search.searcher import IndexReader
+
+    def write(rows, path):
+        pq.write_table(pa.table({
+            "repo": [r[0] for r in rows],
+            "path": [r[1] for r in rows],
+            "commit": ["c0"] * len(rows),
+            "lang": ["rs"] * len(rows),
+            "content": [r[2] for r in rows],
+        }), path)
+
+    rows = [
+        (f"r{i % 2}", f"src/h{i:02d}.rs", f"handler for request {i % 5}"
+         + (" with hashmapStore" if i % 6 == 1 else ""))
+        for i in range(24)
+    ]
+    old = ("r0", "src/h04.rs", "handler that builds a hashmapLoader")
+    new = ("r0", "src/h04.rs", "handler that builds a treeLoader")
+    rows[4] = old
+    live = [new if r[:2] == new[:2] else r for r in rows]
+    for name, rs in (("corpus", rows), ("live", live)):
+        os.makedirs(tmp_path / name)
+        write(rs, str(tmp_path / name / "part0.parquet"))
+    base, delta, rebuilt = (str(tmp_path / n) for n in ("base", "delta", "rebuilt"))
+    build_index([str(tmp_path / "corpus")], base, IndexConfig(num_waves=1, subshards=2))
+    build_index([str(tmp_path / "live")], rebuilt, IndexConfig(num_waves=1, subshards=2))
+    frag = str(tmp_path / "frag.parquet")
+    write([new], frag)
+    upsert_segment([base], frag, delta)
+
+    q = "handler -hashmap"
+    fed = IndexReader([base, delta], num_workers=1, tombstone_scope="member")
+    want_rd = IndexReader(rebuilt, num_workers=1)
+    try:
+        assert fed.explain(q)["unit_candidates"] > 0
+        got = fed.search(q, k=50)
+        want = want_rd.search(q, k=50)
+    finally:
+        fed.close()
+        want_rd.close()
+
+    def key_sha(t):
+        return set(zip(*(t.column(c).to_pylist() for c in ("repo", "path", "sha256"))))
+
+    assert (*new[:2], _sha(new[2])) in key_sha(got)
+    assert (*old[:2], _sha(old[2])) not in key_sha(got)
+    assert key_sha(got) == key_sha(want) and 0 < got.num_rows < 50
 
 
 def test_bad_scope_rejected(ray_session, upsert_env):

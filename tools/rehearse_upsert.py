@@ -37,7 +37,7 @@ def main():
     )
     from probe_ray.index.build import IndexConfig, build_index
     from probe_ray.index.upsert import upsert_segment
-    from probe_ray.search.searcher import FederatedReader, IndexReader
+    from probe_ray.search.searcher import IndexReader
 
     base_dir = os.path.join(ROOT, "base")
     out = {"n_changed": N_CHANGED, "corpus": CORPUS}
@@ -68,7 +68,7 @@ def main():
     upsert_segment([base_dir], frag, delta_dir)
     out["upsert_s"] = round(time.time() - t0, 2)
 
-    fed = FederatedReader([base_dir, delta_dir], tombstone_scope="member")
+    fed = IndexReader([base_dir, delta_dir], tombstone_scope="member")
     hits = fed.search(MARK, k=N_CHANGED + 5)
     out["marker_hits"] = hits.num_rows
     out["marker_commits"] = sorted(set(hits.column("commit").to_pylist()))
